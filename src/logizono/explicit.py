@@ -132,12 +132,13 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
                                                     next_sets):
                         _record(vecs, joint, seen, points, cap, k)
                 else:
-                    vals = []
                     for name in order:
-                        v = eval_concrete(model.updates[name], env)
-                        env[name + "'"] = v
-                        vals.append(v)
-                    _record(vals, joint, seen, points, cap, k)
+                        env[name + "'"] = eval_concrete(model.updates[name],
+                                                        env)
+                    # the joint vector follows declaration order, not the
+                    # evaluation order
+                    _record([env[name + "'"] for name in names], joint,
+                            seen, points, cap, k)
         result.append(ExplicitSet.from_points(points))
     return result
 
@@ -180,8 +181,6 @@ def _independent_primed(model, env, primed_refs, next_sets):
         env2 = dict(env)
         for a, val in zip(axes, combo):
             env2[a + "'"] = val
-        vals = []
-        for name in model.order:
-            v = eval_concrete(model.updates[name], env2)
-            vals.append(v)
-        yield vals
+        vals = {name: eval_concrete(model.updates[name], env2)
+                for name in model.order}
+        yield [vals[v.name] for v in model.state_vars]

@@ -25,6 +25,7 @@ from . import poly as pz
 class VarRef:
     name: str
     primed: bool = False
+    pos: int = field(default=None, compare=False, repr=False)  # 1-based
 
     @property
     def key(self):
@@ -34,6 +35,7 @@ class VarRef:
 @dataclass(frozen=True)
 class Const:
     value: BinaryVector
+    pos: int = field(default=None, compare=False, repr=False)  # 1-based
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,11 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == m.start():
-            if text[pos:].strip():
+            rest = text[pos:]
+            if rest.strip():
+                bad = pos + len(rest) - len(rest.lstrip())
                 raise ModelError(
-                    f"unexpected character {text[pos]!r}", position=pos + 1)
+                    f"unexpected character {text[bad]!r}", position=bad + 1)
             break
         if m.lastgroup is None:
             break
@@ -135,7 +139,7 @@ class _Parser:
             self.expect(")")
             return expr
         if kind == "bits":
-            return Const(BinaryVector.from_string(text))
+            return Const(BinaryVector.from_string(text), pos)
         if kind == "name":
             base = text.rstrip("'")
             if base.upper() in _FUNC_GATES and self.peek()[1] == "(":
@@ -145,7 +149,7 @@ class _Parser:
                 right = self.parse_or()
                 self.expect(")")
                 return GateExpr(_FUNC_GATES[base.upper()], left, right)
-            return VarRef(base, primed=text.endswith("'"))
+            return VarRef(base, primed=text.endswith("'"), pos=pos)
         raise ModelError(f"expected an operand, found {text or 'end'!r}",
                          position=pos)
 
@@ -168,14 +172,19 @@ def print_expr(expr):
     return f"({print_expr(expr.left)} {op} {print_expr(expr.right)})"
 
 
-def expr_refs(expr):
-    if isinstance(expr, VarRef):
-        yield expr
-    elif isinstance(expr, Not):
-        yield from expr_refs(expr.child)
+def _leaves(expr):
+    """The VarRef and Const operands of expr, left to right."""
+    if isinstance(expr, Not):
+        yield from _leaves(expr.child)
     elif isinstance(expr, GateExpr):
-        yield from expr_refs(expr.left)
-        yield from expr_refs(expr.right)
+        yield from _leaves(expr.left)
+        yield from _leaves(expr.right)
+    else:
+        yield expr
+
+
+def expr_refs(expr):
+    return (leaf for leaf in _leaves(expr) if isinstance(leaf, VarRef))
 
 
 def next_state_refs(expr):
@@ -221,73 +230,150 @@ class Model:
         raise KeyError(name)
 
 
-def _vectors(texts, dim, what):
+_JSON_TYPES = ((bool, "a boolean"), (dict, "an object"), (list, "a list"),
+               (str, "a string"), (int, "an integer"), (float, "a number"))
+_LABELS = dict(_JSON_TYPES)
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_BITS = frozenset("01")
+_MISSING = object()
+
+
+def _json_type(value):
+    for kind, label in _JSON_TYPES:
+        if isinstance(value, kind):
+            return label
+    return "null"
+
+
+def _typed(value, kind, path):
+    """value, if it has the JSON type of kind; a ModelError at path if not."""
+    label = _LABELS[kind]
+    if type(value) is not kind and _json_type(value) != label:
+        raise ModelError(
+            f"{path}: expected {label}, found {_json_type(value)}")
+    return value
+
+
+def _field(obj, key, kind, path, default=_MISSING):
+    path = f"{path}.{key}" if path else key
+    if key not in obj:
+        if default is _MISSING:
+            raise ModelError(f"{path}: missing")
+        return default
+    return _typed(obj[key], kind, path)
+
+
+def _vectors(texts, dim, path):
+    _typed(texts, list, path)
+    if not texts:
+        raise ModelError(f"{path}: set must be non-empty")
     out = []
-    for t in texts:
-        v = BinaryVector.from_string(t)
-        if v.dim != dim:
-            raise ModelError(f"{what}: vector {t!r} has dim {v.dim}, "
-                             f"expected {dim}")
-        out.append(v)
-    if not out:
-        raise ModelError(f"{what}: set must be non-empty")
+    for j, t in enumerate(texts):
+        if not (isinstance(t, str) and len(t) == dim and set(t) <= _BITS):
+            raise ModelError(f"{path}[{j}]: expected a bitstring of {dim} "
+                             f"bits, found {t!r}")
+        # index 1 is leftmost and least significant
+        out.append(BinaryVector(dim, int(t[::-1], 2)))
     return tuple(out)
 
 
+def _parse_var(var, path):
+    _typed(var, dict, path)
+    name = _field(var, "name", str, path)
+    if not _IDENT.fullmatch(name):
+        raise ModelError(f"{path}.name: {name!r} is not an identifier")
+    dim = _field(var, "dim", int, path)
+    if dim < 1:
+        raise ModelError(f"{path}.dim: must be at least 1, found {dim}")
+    role = _field(var, "role", str, path, "state")
+    if role == "state":
+        return StateVar(name, dim, _vectors(_field(var, "init", list, path),
+                                            dim, path + ".init"))
+    if role != "input":
+        raise ModelError(f"{path}.role: unknown role {role!r}")
+    if "set" in var:
+        return InputVar(name, dim, constant=_vectors(var["set"], dim,
+                                                     path + ".set"))
+    steps = _field(var, "steps", list, path)
+    if not steps:
+        raise ModelError(f"{path}.steps: per-step input list is empty")
+    return InputVar(name, dim, per_step=tuple(
+        _vectors(s, dim, f"{path}.steps[{j}]") for j, s in enumerate(steps)))
+
+
+def _parse_update(text, path):
+    _typed(text, str, path)
+    try:
+        return parse_expr(text)
+    except ModelError as err:
+        raise ModelError(f"{path}: {err} at position {err.position}",
+                         position=err.position) from None
+
+
+def _check_update(name, expr, dims, states, seen):
+    """References, next-state references and operand widths of one update:
+    every operand has the width of the variable it updates."""
+    path = f"updates.{name}"
+    for leaf in _leaves(expr):
+        where = f"at position {leaf.pos}"
+        if isinstance(leaf, Const):
+            label, width = leaf.value.to_string(), leaf.value.dim
+        else:
+            label = leaf.key
+            if leaf.name not in dims:
+                raise ModelError(f"{path}: undeclared {leaf.name!r} {where}",
+                                 position=leaf.pos)
+            if leaf.primed and leaf.name not in states:
+                raise ModelError(f"{path}: next-state reference {label!r} "
+                                 f"{where} is not a state", position=leaf.pos)
+            if leaf.primed and leaf.name not in seen:
+                raise ModelError(f"{path}: {label!r} {where} is read before "
+                                 f"it is computed", position=leaf.pos)
+            width = dims[leaf.name]
+        if width != dims[name]:
+            raise ModelError(f"{path}: operand {label!r} {where} has width "
+                             f"{width}, expected {dims[name]}",
+                             position=leaf.pos)
+
+
 def parse_model(document) -> Model:
-    """Parse and validate a JSON model document (text, path, or dict)."""
+    """Parse and validate a JSON model document (JSON text or a dict).
+
+    Errors name the offending place as a JSON path, such as vars[0].dim,
+    and, inside an update, the 1-based position in its expression.
+    """
     if isinstance(document, str):
         document = json.loads(document)
+    _typed(document, dict, "model")
     states = []
     inputs = []
-    for var in document.get("vars", []):
-        name = var["name"]
-        dim = int(var["dim"])
-        role = var.get("role", "state")
-        if role == "state":
-            states.append(StateVar(name, dim,
-                                   _vectors(var["init"], dim, name)))
-        elif role == "input":
-            if "set" in var:
-                inputs.append(InputVar(name, dim,
-                                       constant=_vectors(var["set"], dim, name)))
-            else:
-                steps = tuple(_vectors(s, dim, name) for s in var["steps"])
-                if not steps:
-                    raise ModelError(f"{name}: per-step input list is empty")
-                inputs.append(InputVar(name, dim, per_step=steps))
-        else:
-            raise ModelError(f"{name}: unknown role {role!r}")
-    declared = {v.name for v in states} | {v.name for v in inputs}
+    dims = {}
+    for i, doc in enumerate(_field(document, "vars", list, "", [])):
+        var = _parse_var(doc, f"vars[{i}]")
+        if var.name in dims:
+            raise ModelError(f"vars[{i}].name: duplicate variable "
+                             f"{var.name!r}")
+        dims[var.name] = var.dim
+        (states if isinstance(var, StateVar) else inputs).append(var)
+    state_names = [v.name for v in states]
     updates = {}
-    for name, text in document.get("updates", {}).items():
-        if name not in {v.name for v in states}:
-            raise ModelError(f"update for undeclared state {name!r}")
-        updates[name] = parse_expr(text)
-    order = tuple(document.get("order", [v.name for v in states]))
-    if sorted(order) != sorted(v.name for v in states):
-        raise ModelError("order must list every state variable exactly once")
+    for name, text in _field(document, "updates", dict, "", {}).items():
+        if name not in state_names:
+            raise ModelError(f"updates.{name}: not a declared state")
+        updates[name] = _parse_update(text, f"updates.{name}")
+    order = _field(document, "order", list, "", state_names)
+    for j, name in enumerate(order):
+        _typed(name, str, f"order[{j}]")
+    if sorted(order) != sorted(state_names):
+        raise ModelError("order: must list every state variable exactly once")
+    states_set = set(state_names)
+    seen = set()
     for name in order:
         if name not in updates:
-            raise ModelError(f"state {name!r} has no update")
-    seen = set()
-    dims = {v.name: v.dim for v in states}
-    dims.update({v.name: v.dim for v in inputs})
-    for name in order:
-        for ref in expr_refs(updates[name]):
-            if ref.name not in declared:
-                raise ModelError(
-                    f"update of {name!r} references undeclared {ref.name!r}")
-            if ref.primed:
-                if ref.name not in dims or ref.name not in {v.name for v in states}:
-                    raise ModelError(
-                        f"next-state reference {ref.name!r}' is not a state")
-                if ref.name not in seen:
-                    raise ModelError(
-                        f"update of {name!r} references {ref.name}' before "
-                        f"it is computed")
+            raise ModelError(f"updates.{name}: missing")
+        _check_update(name, updates[name], dims, states_set, seen)
         seen.add(name)
-    return Model(tuple(states), tuple(inputs), updates, order)
+    return Model(tuple(states), tuple(inputs), updates, tuple(order))
 
 
 def load_model(path) -> Model:

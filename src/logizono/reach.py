@@ -1,35 +1,49 @@
 """N-step reachability over the explicit, logical, and poly algebras.
 
-Each step encloses the step's input sets, evaluates every update in
-declaration order (next-state references see the values already computed
-this step), and records per-variable sets plus the joint size, i.e. the
-number of distinct concatenated state vectors.
+Each step evaluates every update in model.order against the step's input
+sets (a primed reference reads the next-state value computed earlier in
+the same step) and records per-variable sets plus the joint size, the
+number of distinct concatenated state vectors. What each lane carries
+from one step to the next:
 
-To keep long horizons tractable the engine renormalizes the state after
-every step into an equivalent exact encoding of the reached sets: the
-logical lane reduces each variable's generators to an independent basis
-(set-preserving), the poly lanes re-encode the reached point sets over a
-fresh compact factor vector (set-preserving per variable, and
-joint-preserving in exact mode where all variables share one factor
-vector). When the renormalized state and the input sets repeat, the run
-has hit a fixpoint and the remaining steps are filled in without
-iterating.
+- explicit: the oracle (explicit.reach_explicit) enumerates every
+  (state, input) sample.
+- logical: one logical zonotope per variable. Updates run in generator
+  space; each result is reduced to an independent generator basis, which
+  keeps the set and bounds the generator count.
+- poly, minkowski: one polynomial logical zonotope per variable, each
+  with its own factors. A step evaluates them to point sets, composes
+  pointwise set images with independent operands, and re-encodes each
+  result.
+- poly, exact: the set of reached joint vectors. A step packs them into
+  one big int, one fixed-width lane per vector, and applies each gate to
+  all lanes with one bitwise operation, once per combination of input
+  values. This is the set the exact pz_* gates compute, without their
+  generator products; pz_encode_points(record.joint_set.points) gives the
+  step's polynomial logical zonotope.
+
+When every recorded set repeats (the joint set, on the exact lane) and
+the inputs are the same every step, the run has hit a fixpoint and the
+remaining steps are filled in without iterating.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 
-from .binvec import BinaryMatrix, BinaryVector, Gate
+from .binvec import BinaryVector, Gate
 from .errors import CapacityError, ModelError
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
-from .model import Const, GateExpr, Not, VarRef, eval_expr
+from .model import Const, Not, VarRef, eval_expr
 
 ALGEBRAS = ("explicit", "logical", "poly")
 DEFAULT_JOINT_CAP = 2**20
@@ -197,18 +211,21 @@ def _reach_explicit(model, horizon, break_deps, cap):
     for k, joint in enumerate(joints):
         # the oracle runs in one pass; the run's total time is reported
         # on every step past 0
-        records.append(StepRecord(k, _projections(model, joint), len(joint),
+        points = [p.bits for p in joint.points]
+        records.append(StepRecord(k, _projections(model, points), len(joint),
                                   elapsed if k else 0.0, joint))
     return ReachResult("explicit", "minkowski", tuple(records))
 
 
-def _projections(model, joint):
+def _projections(model, points):
+    """Per-variable sets of a joint set given as packed ints."""
     out = {}
     off = 0
     for var in model.state_vars:
-        pts = {BinaryVector(var.dim, (p.bits >> off) & ((1 << var.dim) - 1))
-               for p in joint.points}
-        out[var.name] = ex.ExplicitSet(var.dim, frozenset(pts))
+        mask = (1 << var.dim) - 1
+        values = {(p >> off) & mask for p in points}
+        out[var.name] = ex.ExplicitSet(var.dim, frozenset(
+            BinaryVector(var.dim, v) for v in values))
         off += var.dim
     return out
 
@@ -218,55 +235,65 @@ def _inputs_constant(model):
 
 
 def _reach_lane(model, horizon, algebra, mode, cap):
-    if algebra == "logical":
+    if mode == "exact":
+        state = _exact_initial(model, cap)
+        step, record = _exact_step, _exact_record
+    elif algebra == "logical":
         state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
                  for v in model.state_vars}
+        step, record = _logical_step, _logical_record
     else:
         state = {v.name: pz.pz_enclose_points(v.init)
                  for v in model.state_vars}
-    records = [_record(model, state, algebra, mode, 0, 0.0, cap)]
+        step, record = _minkowski_step, _minkowski_record
+    records = [record(model, state, 0, 0.0, cap)]
     fixpoint_at = -1
-    prev_key = _state_key(state, algebra, mode, cap)
     k = 0
     while k < horizon:
         t0 = time.perf_counter()
-        state = _step(model, state, algebra, mode, k)
-        state = _renormalize(state, algebra, mode, cap)
+        nxt = step(model, state, k, cap)
         elapsed = time.perf_counter() - t0
         k += 1
-        records.append(_record(model, state, algebra, mode, k, elapsed, cap))
-        key = _state_key(state, algebra, mode, cap)
-        if key == prev_key and _inputs_constant(model):
+        records.append(record(model, nxt, k, elapsed, cap))
+        # the exact state is the joint set itself; the other lanes repeat
+        # when every variable's set does
+        same = (nxt == state if mode == "exact"
+                else records[-1].var_sets == records[-2].var_sets)
+        if same and _inputs_constant(model):
             fixpoint_at = k
             last = records[-1]
             for j in range(k + 1, horizon + 1):
                 records.append(StepRecord(j, last.var_sets, last.joint_size,
                                           0.0, last.joint_set))
             break
-        prev_key = key
+        state = nxt
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
 
 
-def _step(model, state, algebra, mode, k):
-    if algebra == "poly" and mode == "minkowski":
-        return _step_minkowski_sets(model, state, k)
+# --- logical lane -----------------------------------------------------------
+
+def _logical_step(model, state, k, cap):
+    """Evaluate the updates in generator space, then reduce each result to
+    an independent basis (set-preserving) so generator counts stay
+    bounded."""
     env = dict(state)
     for var in model.input_vars:
-        points = model.input_set(var, k)
-        env[var.name] = (lz.lz_reduce(lz.lz_enclose_points(points))
-                         if algebra == "logical"
-                         else pz.pz_enclose_points(points))
-    new_state = {}
+        env[var.name] = lz.lz_reduce(
+            lz.lz_enclose_points(model.input_set(var, k)))
     for name in model.order:
-        nxt = eval_expr(model.updates[name], env, algebra, mode)
-        if algebra == "poly":
-            nxt = pz.pz_compact(nxt)
-        env[name + "'"] = nxt
-        new_state[name] = nxt
-    return {v.name: new_state[v.name] for v in model.state_vars}
+        env[name + "'"] = eval_expr(model.updates[name], env, "logical")
+    return {v.name: lz.lz_reduce(env[v.name + "'"]) for v in model.state_vars}
 
 
-def _step_minkowski_sets(model, state, k):
+def _logical_record(model, state, step, elapsed, cap):
+    var_sets = {name: lz.lz_evaluate(z) for name, z in state.items()}
+    return StepRecord(step, var_sets, joint_size(state, "logical", cap),
+                      elapsed)
+
+
+# --- poly minkowski lane ----------------------------------------------------
+
+def _minkowski_step(model, state, k, cap):
     """Minkowski poly step computed in the set domain.
 
     Every Minkowski operation is an exact pointwise image with operands
@@ -296,58 +323,112 @@ def _eval_mink_sets(expr, env):
                             _eval_mink_sets(expr.right, env), expr.kind)
 
 
-def _renormalize(state, algebra, mode, cap):
-    if algebra == "logical":
-        return {name: lz.lz_reduce(z) for name, z in state.items()}
-    if mode == "exact":
-        joint = poly_joint_set(state, cap)
-        stacked = pz.pz_encode_points(joint.points)
-        return _slices(stacked, state)
-    return state  # minkowski states are re-encoded inside the step
+def _minkowski_record(model, state, step, elapsed, cap):
+    var_sets = {name: pz.pz_evaluate(z) for name, z in state.items()}
+    return StepRecord(step, var_sets, joint_size(state, "poly", cap), elapsed)
 
 
-def _slices(stacked, state):
-    """Per-variable slices of a stacked zonotope, sharing its factors."""
-    out = {}
+# --- poly exact lane: joint vectors as ints in model.state_vars order -------
+
+_ORDER = sys.byteorder
+_WORD = array("Q").itemsize
+
+_LANE_GATES = {
+    Gate.AND: lambda a, b, m: a & b,
+    Gate.XOR: lambda a, b, m: a ^ b,
+    Gate.OR: lambda a, b, m: a | b,
+    Gate.NAND: lambda a, b, m: (a & b) ^ m,
+    Gate.NOR: lambda a, b, m: (a | b) ^ m,
+    Gate.XNOR: lambda a, b, m: a ^ b ^ m,
+}
+
+
+def _exact_initial(model, cap):
+    points = [0]
     off = 0
-    for name, z in state.items():
-        dim = z.dim
-        mask = (1 << dim) - 1
-        c = BinaryVector(dim, (stacked.c.bits >> off) & mask)
-        gcols = []
-        ecols = []
-        for g, e in zip(stacked.G.columns, stacked.E.columns):
-            bits = (g.bits >> off) & mask
-            if bits:
-                gcols.append(BinaryVector(dim, bits))
-                ecols.append(e)
-        out[name] = pz.PolyLogicalZonotope(
-            c, BinaryMatrix(dim, tuple(gcols)),
-            BinaryMatrix(stacked.p, tuple(ecols)), stacked.id)
-        off += dim
+    for var in model.state_vars:
+        values = {p.bits << off for p in var.init}
+        points = [q | v for q in points for v in values]
+        if len(points) > cap:
+            raise CapacityError(f"joint size exceeds cap {cap}", step=0)
+        off += var.dim
+    return set(points)
+
+
+def _exact_step(model, points, k, cap):
+    """The joint states one step after points.
+
+    The updates are folded once per combination of input values, each
+    input value replicated into every lane, so no table holds more than
+    len(points) lanes.
+    """
+    width = sum(v.dim for v in model.state_vars)
+    nbytes = _WORD if width <= 8 * _WORD else (width + 7) // 8
+    lanes = list(points)
+    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * len(lanes), _ORDER)
+    packed = _pack(lanes, nbytes)
+    env = {}
+    masks = {}
+    placed = []  # (primed name, offset in the joint vector)
+    off = 0
+    for var in model.state_vars:
+        masks[var.name] = ((1 << var.dim) - 1) * ones
+        env[var.name] = (packed >> off) & masks[var.name]
+        placed.append((var.name + "'", off))
+        off += var.dim
+    names = [v.name for v in model.input_vars]
+    choices = [[u * ones for u in sorted({p.bits for p in
+                                          model.input_set(v, k)})]
+               for v in model.input_vars]
+    out = set()
+    for combo in itertools.product(*choices):
+        env.update(zip(names, combo))
+        for name in model.order:
+            env[name + "'"] = _fold(model.updates[name], env, ones,
+                                    masks[name])
+        joint = 0
+        for key, off in placed:
+            joint |= env[key] << off
+        out.update(_unpack(joint, len(lanes), nbytes))
+        if len(out) > cap:
+            raise CapacityError(f"joint size exceeds cap {cap}", step=k + 1)
     return out
 
 
-def _record(model, state, algebra, mode, step, elapsed, cap):
-    if algebra == "logical":
-        var_sets = {name: lz.lz_evaluate(z) for name, z in state.items()}
-        return StepRecord(step, var_sets, joint_size(state, "logical", cap),
-                          elapsed)
-    var_sets = {name: pz.pz_evaluate(z) for name, z in state.items()}
-    jset = poly_joint_set(state, cap) if mode == "exact" else None
-    size = len(jset) if jset is not None else joint_size(state, "poly", cap)
-    return StepRecord(step, var_sets, size, elapsed, jset)
+def _fold(expr, env, ones, mask):
+    """An update over every lane; mask holds the update's width per lane."""
+    if isinstance(expr, VarRef):
+        return env[expr.key]
+    if isinstance(expr, Const):
+        return expr.value.bits * ones
+    if isinstance(expr, Not):
+        return _fold(expr.child, env, ones, mask) ^ mask
+    return _LANE_GATES[expr.kind](_fold(expr.left, env, ones, mask),
+                                  _fold(expr.right, env, ones, mask), mask)
 
 
-def _state_key(state, algebra, mode, cap):
-    if algebra == "poly" and mode == "exact":
-        return tuple(sorted(p.bits for p in poly_joint_set(state, cap).points))
-    if algebra == "logical":
-        sets = {name: lz.lz_evaluate(z) for name, z in state.items()}
+def _pack(lanes, nbytes):
+    if nbytes == _WORD:
+        data = array("Q", lanes).tobytes()
     else:
-        sets = {name: pz.pz_evaluate(z) for name, z in state.items()}
-    return tuple((name, tuple(sorted(p.bits for p in s.points)))
-                 for name, s in sorted(sets.items()))
+        data = b"".join([p.to_bytes(nbytes, _ORDER) for p in lanes])
+    return int.from_bytes(data, _ORDER)
+
+
+def _unpack(packed, count, nbytes):
+    data = packed.to_bytes(count * nbytes, _ORDER)
+    if nbytes == _WORD:
+        return array("Q", data)
+    return [int.from_bytes(data[i:i + nbytes], _ORDER)
+            for i in range(0, len(data), nbytes)]
+
+
+def _exact_record(model, points, step, elapsed, cap):
+    width = sum(v.dim for v in model.state_vars)
+    joint = ex.ExplicitSet(width, frozenset(
+        BinaryVector(width, p) for p in points))
+    return StepRecord(step, _projections(model, points), len(points),
+                      elapsed, joint)
 
 
 # --- reporting --------------------------------------------------------------

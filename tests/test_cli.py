@@ -142,3 +142,24 @@ def test_selftest(capsys):
     rc, out, _ = run(capsys, ["selftest", "--trials", "25", "--seed", "1"])
     assert rc == cli.EXIT_OK
     assert "failures=0" in out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vars": [{"name": "x", "init": ["0"]}], "updates": {"x": "!x"}},
+     "vars[0].dim: missing"),
+    ([1, 2], "model: expected an object, found a list"),
+    ({"vars": [{"name": "x", "dim": 1, "init": ["0", "1"]},
+               {"name": "x", "dim": 1, "init": ["0"]}],
+      "updates": {"x": "!x"}}, "vars[1].name: duplicate variable 'x'"),
+    ({"vars": [{"name": "x", "dim": 2, "init": ["00"]}],
+      "updates": {"x": "x & 1"}}, "updates.x: operand '1' at position 5"),
+])
+def test_reach_malformed_model_exits_usage(tmp_path, capsys, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["reach", "--model", str(path),
+                                "--algebra", "poly", "--mode", "exact"])
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

@@ -83,6 +83,19 @@ def test_reach_period_two_flip():
     assert sets[2].points == eset("00").points
 
 
+def test_reach_joint_follows_declaration_order():
+    # updates run b first, but the joint vector is a then b as declared
+    model = parse_model({
+        "vars": [{"name": "a", "role": "state", "dim": 1, "init": ["0"]},
+                 {"name": "b", "role": "state", "dim": 2, "init": ["01"]}],
+        "updates": {"a": "!a", "b": "b"},
+        "order": ["b", "a"],
+    })
+    for broken in (False, True):
+        sets = reach_explicit(model, 2, break_next_state_deps=broken)
+        assert [s.to_strings() for s in sets] == [["001"], ["101"], ["001"]]
+
+
 def test_reach_singletons_simulate_trajectory():
     model = parse_model({
         "vars": [{"name": "x", "role": "state", "dim": 1, "init": ["1"]},

@@ -161,6 +161,82 @@ def test_rejects_dim_mismatch_and_empty_sets():
         parse_model(doc)
 
 
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["vars"][0].pop("dim"), "vars[0].dim: missing"),
+    (lambda d: d["vars"][0].update(dim="2"),
+     "vars[0].dim: expected an integer"),
+    (lambda d: d["vars"][0].update(dim=True),
+     "vars[0].dim: expected an integer"),
+    (lambda d: d["vars"][0].update(dim=0), "vars[0].dim: must be at least 1"),
+    (lambda d: d["vars"][0].pop("name"), "vars[0].name: missing"),
+    (lambda d: d["vars"][0].update(name="2x"), "vars[0].name:"),
+    (lambda d: d["vars"][0].update(role="output"), "vars[0].role:"),
+    (lambda d: d["vars"][0].update(init="00"),
+     "vars[0].init: expected a list"),
+    (lambda d: d["vars"][0].update(init=["0a"]), "vars[0].init[0]:"),
+    (lambda d: d["vars"][1].pop("set"), "vars[1].steps: missing"),
+    (lambda d: d["vars"][1].update(set=[]), "vars[1].set: set must be"),
+    (lambda d: d["vars"].__setitem__(1, "u"), "vars[1]: expected an object"),
+    (lambda d: d.update(vars={}), "vars: expected a list"),
+    (lambda d: d.update(updates=["x"]), "updates: expected an object"),
+    (lambda d: d["updates"].update(x=3), "updates.x: expected a string"),
+    (lambda d: d.update(order=[1]), "order[0]: expected a string"),
+])
+def test_schema_errors_name_the_json_path(edit, path):
+    doc = base_doc()
+    edit(doc)
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert str(err.value).startswith(path)
+
+
+def test_rejects_non_object_document():
+    for doc in ([base_doc()], "[1, 2]", "3"):
+        with pytest.raises(ModelError, match="model: expected an object"):
+            parse_model(doc)
+
+
+def test_rejects_duplicate_variable_names():
+    doc = base_doc()
+    doc["vars"].append({"name": "x", "role": "state", "dim": 2,
+                        "init": ["00"]})
+    with pytest.raises(ModelError, match=r"vars\[2\].name: duplicate .*'x'"):
+        parse_model(doc)
+    doc = base_doc()
+    doc["vars"][1]["name"] = "x"
+    with pytest.raises(ModelError, match="duplicate"):
+        parse_model(doc)
+
+
+@pytest.mark.parametrize("update, position, operand, width", [
+    ("x & 1", 5, "'1'", 1),
+    ("x ^ (u | 101)", 10, "'101'", 3),
+    ("NAND(x, y)", 9, "'y'", 3),
+    ("!y' ^ x", 2, "\"y'\"", 3),
+])
+def test_widths_checked_at_parse_time(update, position, operand, width):
+    doc = base_doc()
+    doc["vars"].insert(0, {"name": "y", "role": "state", "dim": 3,
+                           "init": ["000"]})
+    doc["updates"] = {"x": update, "y": "y"}
+    doc["order"] = ["y", "x"]
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert err.value.position == position
+    assert str(err.value) == (f"updates.x: operand {operand} at position "
+                              f"{position} has width {width}, expected 2")
+
+
+def test_update_syntax_errors_name_update_and_position():
+    doc = base_doc()
+    doc["updates"]["x"] = "x &  @"
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert err.value.position == 6
+    assert str(err.value) == ("updates.x: unexpected character '@' "
+                              "at position 6")
+
+
 # --- evaluation -------------------------------------------------------------
 
 def test_eval_concrete():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from logizono.binvec import BinaryVector
+from logizono.binvec import BinaryMatrix, BinaryVector
 from logizono.errors import CapacityError, ModelError
 from logizono.model import parse_model
-from logizono.poly import pz_encode_points, unique_id
+from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
 from logizono.reach import (joint_size, parse_report, poly_joint_set, reach,
                             reach_report)
 
@@ -149,9 +149,10 @@ def test_joint_size_components():
     # distinct factor vectors multiply
     assert joint_size(state, "poly") == 4
     # a shared factor vector correlates the variables
-    shared = pz_encode_points([bv("00"), bv("11")])
-    from logizono.reach import _slices
-    corr = _slices(shared, {"a": a, "b": b})
+    (ident,) = unique_id(1)
+    same = PolyLogicalZonotope(bv("0"), BinaryMatrix(1, (bv("1"),)),
+                               BinaryMatrix(1, (bv("1"),)), (ident,))
+    corr = {"a": same, "b": same}
     assert joint_size(corr, "poly") == 2
     assert poly_joint_set(corr).points == frozenset({bv("00"), bv("11")})
 
@@ -199,3 +200,111 @@ def test_reach_is_deterministic():
     for ra, rb in zip(a.records, b.records):
         for name in ra.var_sets:
             assert ra.var_sets[name].points == rb.var_sets[name].points
+
+
+def random_lane_model(rng, wide=False):
+    """Random model with mixed widths, per-step and constant inputs,
+    constants and primed references.
+
+    Every operand of an update has the width of the variable it updates,
+    and the updates run in a shuffled order. With wide=True one or two
+    state variables are 66-72 bits, so the joint vector is wider than 64
+    bits.
+    """
+    horizon = 4
+    n_state = rng.randint(1, 3)
+    # mostly one shared width, so primed references have operands to match
+    shared = rng.randint(1, 3)
+    dims = [shared if rng.random() < 0.7 else rng.randint(1, 3)
+            for _ in range(n_state)]
+    if wide:
+        dims = [rng.randint(66, 72)] * rng.randint(1, 2) + dims[1:]
+        n_state = len(dims)
+
+    def vectors(dim, count):
+        return sorted({format(rng.getrandbits(dim), f"0{dim}b")
+                       for _ in range(count)})
+
+    doc = {"vars": [], "updates": {}, "order": []}
+    names = [f"s{i}" for i in range(n_state)]
+    for name, dim in zip(names, dims):
+        doc["vars"].append({"name": name, "role": "state", "dim": dim,
+                            "init": vectors(dim, rng.randint(1, 4))})
+    for i, dim in enumerate(dims):
+        var = {"name": f"u{i}", "role": "input", "dim": dim}
+        if rng.random() < 0.5:
+            var["set"] = vectors(dim, rng.randint(1, 3))
+        else:
+            var["steps"] = [vectors(dim, rng.randint(1, 3))
+                            for _ in range(horizon)]
+        doc["vars"].append(var)
+    order = names[:]
+    rng.shuffle(order)
+
+    def expr(dim, done, depth):
+        if depth == 0 or rng.random() < 0.3:
+            if done and rng.random() < 0.3:
+                return rng.choice(done) + "'"
+            refs = [n for n, d in zip(names, dims) if d == dim]
+            refs += [f"u{i}" for i, d in enumerate(dims) if d == dim]
+            choice = rng.randrange(len(refs) + 1)
+            if choice == len(refs):
+                return format(rng.getrandbits(dim), f"0{dim}b")
+            return refs[choice]
+        pick = rng.random()
+        if pick < 0.2:
+            return "!" + expr(dim, done, depth - 1)
+        a = expr(dim, done, depth - 1)
+        b = expr(dim, done, depth - 1)
+        if pick < 0.4:
+            return f"{rng.choice(FUNCS)}({a}, {b})"
+        return f"({a} {rng.choice(GATES)} {b})"
+
+    done = []
+    for name in order:
+        dim = dims[names.index(name)]
+        doc["updates"][name] = expr(
+            dim, [n for n in done if dims[names.index(n)] == dim], 3)
+        done.append(name)
+    doc["order"] = order
+    return parse_model(doc), horizon
+
+
+def oracle_fixpoint(model, oracle):
+    if not all(v.constant for v in model.input_vars):
+        return -1
+    for k in range(1, len(oracle.records)):
+        if oracle.record(k).joint_set == oracle.record(k - 1).joint_set:
+            return k
+    return -1
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_exact_lane_matches_oracle_on_random_models(wide):
+    rng = random.Random(11 + wide)
+    for _ in range(40 if not wide else 15):
+        model, horizon = random_lane_model(rng, wide)
+        oracle = reach(model, horizon, "explicit")
+        exact = reach(model, horizon, "poly", "exact")
+        assert exact.fixpoint_at == oracle_fixpoint(model, oracle)
+        for k in range(horizon + 1):
+            truth, got = oracle.record(k), exact.record(k)
+            assert got.joint_set == truth.joint_set
+            assert got.joint_size == truth.joint_size
+            assert got.var_sets == truth.var_sets
+
+
+def test_exact_lane_capacity_error_names_the_step():
+    doc = {
+        "vars": [
+            {"name": "x", "role": "state", "dim": 3, "init": ["000"]},
+            {"name": "u", "role": "input", "dim": 3,
+             "steps": [["000", "001"], [format(i, "03b") for i in range(8)]]},
+        ],
+        "updates": {"x": "x ^ u"},
+    }
+    model = parse_model(doc)
+    assert reach(model, 2, "poly", "exact", cap=8).sizes() == [1, 2, 8]
+    with pytest.raises(CapacityError) as err:
+        reach(model, 2, "poly", "exact", cap=4)
+    assert err.value.step == 2
