@@ -19,7 +19,8 @@ from importlib import resources
 from .binvec import BinaryMatrix, BinaryVector, Gate
 from .errors import CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
-from .model import load_model, parse_model
+from .model import (_LZ_GATES, _PZ_MINK, _field, _matrix, _typed, _vector,
+                    load_model, parse_model)
 from .reach import reach, reach_report
 
 EXIT_OK = 0
@@ -102,14 +103,15 @@ def cmd_lfsr(args):
 def cmd_eval(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _typed(doc, dict, "zonotope")
     if "E" in doc:
         z = pz.PolyLogicalZonotope.from_json(doc)
         points = pz.pz_evaluate(z, cap=_factor_cap())
     else:
-        c = BinaryVector.from_string(doc["c"])
-        G = BinaryMatrix(c.dim, tuple(
-            BinaryVector.from_string(s) for s in doc["G"]))
-        points = lz.lz_evaluate(lz.LogicalZonotope(c, G), cap=_factor_cap())
+        text = _field(doc, "c", str, "")
+        c = _vector(text, len(text), "c")
+        z = lz.LogicalZonotope(c, _matrix(doc, "G", c.dim))
+        points = lz.lz_evaluate(z, cap=_factor_cap())
     for p in points:
         print(p.to_string())
     return EXIT_OK
@@ -117,15 +119,6 @@ def cmd_eval(args):
 
 def cmd_selftest(args):
     rng = random.Random(args.seed)
-    mink = {
-        Gate.XOR: pz.pz_mink_xor, Gate.AND: pz.pz_mink_and,
-        Gate.OR: pz.pz_mink_or, Gate.XNOR: pz.pz_mink_xnor,
-        Gate.NAND: pz.pz_mink_nand, Gate.NOR: pz.pz_mink_nor,
-    }
-    lzops = {
-        Gate.XOR: lz.lz_xor, Gate.AND: lz.lz_and, Gate.OR: lz.lz_or,
-        Gate.XNOR: lz.lz_xnor, Gate.NAND: lz.lz_nand, Gate.NOR: lz.lz_nor,
-    }
     exact_gates = (Gate.XOR, Gate.XNOR)
     failures = 0
     for trial in range(args.trials):
@@ -137,12 +130,12 @@ def cmd_selftest(args):
         for gate in Gate:
             want = ex.set_minkowski(pz.pz_evaluate(a), pz.pz_evaluate(b),
                                     gate)
-            got = pz.pz_evaluate(mink[gate](a, b))
+            got = pz.pz_evaluate(_PZ_MINK[gate](a, b))
             if got.points != want.points:
                 failures += 1
             lwant = ex.set_minkowski(lz.lz_evaluate(la), lz.lz_evaluate(lb),
                                      gate)
-            lgot = lz.lz_evaluate(lzops[gate](la, lb))
+            lgot = lz.lz_evaluate(_LZ_GATES[gate](la, lb))
             if gate in exact_gates:
                 if lgot.points != lwant.points:
                     failures += 1

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
-from .binvec import BinaryVector, Gate, bv_not, bv_op
+from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
 from .errors import ModelError
 from . import explicit as ex
 from . import logical as lz
@@ -263,18 +264,27 @@ def _field(obj, key, kind, path, default=_MISSING):
     return _typed(obj[key], kind, path)
 
 
+def _vector(text, dim, path):
+    if not (isinstance(text, str) and len(text) == dim
+            and set(text) <= _BITS):
+        raise ModelError(f"{path}: expected a bitstring of {dim} bits, "
+                         f"found {text!r}")
+    # index 1 is leftmost and least significant
+    return BinaryVector(dim, int(text[::-1] or "0", 2))
+
+
 def _vectors(texts, dim, path):
     _typed(texts, list, path)
     if not texts:
         raise ModelError(f"{path}: set must be non-empty")
-    out = []
-    for j, t in enumerate(texts):
-        if not (isinstance(t, str) and len(t) == dim and set(t) <= _BITS):
-            raise ModelError(f"{path}[{j}]: expected a bitstring of {dim} "
-                             f"bits, found {t!r}")
-        # index 1 is leftmost and least significant
-        out.append(BinaryVector(dim, int(t[::-1], 2)))
-    return tuple(out)
+    return tuple(_vector(t, dim, f"{path}[{j}]") for j, t in enumerate(texts))
+
+
+def _matrix(doc, key, rows):
+    """The columns doc[key], bitstrings of rows bits, as a BinaryMatrix."""
+    texts = _field(doc, key, list, "")
+    return BinaryMatrix(rows, tuple(_vector(t, rows, f"{key}[{j}]")
+                                    for j, t in enumerate(texts)))
 
 
 def _parse_var(var, path):
@@ -383,16 +393,26 @@ def load_model(path) -> Model:
 
 # --- evaluation -------------------------------------------------------------
 
-def eval_concrete(expr, env):
-    """Evaluate over concrete BinaryVectors; env maps reference keys."""
+def fold(expr, env, const, not_, gates):
+    """Evaluate expr in one value domain. env maps reference keys to values;
+    const(vector) is a literal's value, not_(x) the complement of x, and
+    gates[kind](x, y) a two-input gate."""
     if isinstance(expr, VarRef):
         return env[expr.key]
     if isinstance(expr, Const):
-        return expr.value
+        return const(expr.value)
     if isinstance(expr, Not):
-        return bv_not(eval_concrete(expr.child, env))
-    return bv_op(eval_concrete(expr.left, env),
-                 eval_concrete(expr.right, env), expr.kind)
+        return not_(fold(expr.child, env, const, not_, gates))
+    return gates[expr.kind](fold(expr.left, env, const, not_, gates),
+                            fold(expr.right, env, const, not_, gates))
+
+
+_BV_GATES = {kind: partial(bv_op, gate=kind) for kind in Gate}
+
+
+def eval_concrete(expr, env):
+    """Evaluate over concrete BinaryVectors; env maps reference keys."""
+    return fold(expr, env, lambda value: value, bv_not, _BV_GATES)
 
 
 _LZ_GATES = {
@@ -428,8 +448,8 @@ def eval_expr(expr, env, algebra, mode="minkowski"):
     if algebra == "explicit":
         return _eval_explicit(expr, env)
     if algebra == "logical":
-        return _eval_tree(expr, env, _LZ_GATES, lz.lz_not,
-                          lz.LogicalZonotope.singleton)
+        return fold(expr, env, lz.LogicalZonotope.singleton, lz.lz_not,
+                    _LZ_GATES)
     if algebra == "poly":
         gates = _PZ_EXACT if mode == "exact" else _PZ_MINK
         # compacting after every gate keeps intermediate generator counts
@@ -437,21 +457,9 @@ def eval_expr(expr, env, algebra, mode="minkowski"):
         # any per-assignment value
         gates = {kind: (lambda fn: lambda a, b: pz.pz_compact(fn(a, b)))(fn)
                  for kind, fn in gates.items()}
-        return _eval_tree(expr, env, gates, pz.pz_not,
-                          pz.PolyLogicalZonotope.singleton)
+        return fold(expr, env, pz.PolyLogicalZonotope.singleton, pz.pz_not,
+                    gates)
     raise ModelError(f"unknown algebra {algebra!r}")
-
-
-def _eval_tree(expr, env, gates, not_fn, singleton):
-    if isinstance(expr, VarRef):
-        return env[expr.key]
-    if isinstance(expr, Const):
-        return singleton(expr.value)
-    if isinstance(expr, Not):
-        return not_fn(_eval_tree(expr.child, env, gates, not_fn, singleton))
-    return gates[expr.kind](
-        _eval_tree(expr.left, env, gates, not_fn, singleton),
-        _eval_tree(expr.right, env, gates, not_fn, singleton))
 
 
 def _eval_explicit(expr, env):
@@ -466,6 +474,4 @@ def _eval_explicit(expr, env):
     for combo in itertools.product(*sets):
         cenv = dict(zip(keys, combo))
         points.add(eval_concrete(expr, cenv))
-    if not points:  # expression with no variables
-        points.add(eval_concrete(expr, {}))
     return ex.ExplicitSet.from_points(points)

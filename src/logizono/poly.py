@@ -78,13 +78,16 @@ class PolyLogicalZonotope:
 
     @staticmethod
     def from_json(doc):
-        c = BinaryVector.from_string(doc["c"])
-        ids = tuple(doc["id"])
-        G = BinaryMatrix(c.dim, tuple(
-            BinaryVector.from_string(s) for s in doc["G"]))
-        E = BinaryMatrix(len(ids), tuple(
-            BinaryVector.from_string(s) for s in doc["E"]))
-        return PolyLogicalZonotope(c, G, E, ids)
+        """Read a to_json document; a ModelError names the bad field."""
+        from .model import _field, _matrix, _typed, _vector
+
+        _typed(doc, dict, "zonotope")
+        text = _field(doc, "c", str, "")
+        c = _vector(text, len(text), "c")
+        ids = tuple(_typed(i, int, f"id[{j}]")
+                    for j, i in enumerate(_field(doc, "id", list, "")))
+        return PolyLogicalZonotope(c, _matrix(doc, "G", c.dim),
+                                   _matrix(doc, "E", len(ids)), ids)
 
 
 def _check(a, b):

@@ -10,11 +10,14 @@ from one step to the next:
   (state, input) sample.
 - logical: one logical zonotope per variable. Updates run in generator
   space; each result is reduced to an independent generator basis, which
-  keeps the set and bounds the generator count.
-- poly, minkowski: one polynomial logical zonotope per variable, each
-  with its own factors. A step evaluates them to point sets, composes
-  pointwise set images with independent operands, and re-encodes each
-  result.
+  keeps the set and bounds the generator count. The record evaluates each
+  zonotope once, and the joint size is the product of the set sizes.
+- poly, minkowski: one set of values, as ints, per variable. A step
+  folds each update over those sets: a gate is its pointwise image with
+  the operands ranging independently, which is what the pz_mink_* gates
+  compute. The variables vary independently, so the joint size is the
+  product of the set sizes; pz_encode_points(record.var_sets[name].points)
+  gives a variable's polynomial logical zonotope.
 - poly, exact: the set of reached joint vectors. A step packs them into
   one big int, one fixed-width lane per vector, and applies each gate to
   all lanes with one bitwise operation, once per combination of input
@@ -33,17 +36,20 @@ import csv
 import io
 import itertools
 import json
+import math
+import operator
 import sys
 import time
 from array import array
 from dataclasses import dataclass
+from functools import partial
 
 from .binvec import BinaryVector, Gate
 from .errors import CapacityError, ModelError
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
-from .model import Const, Not, VarRef, eval_expr
+from .model import eval_expr, fold
 
 ALGEBRAS = ("explicit", "logical", "poly")
 DEFAULT_JOINT_CAP = 2**20
@@ -100,20 +106,23 @@ def _components(state):
 
 
 def _component_vectors(state, names, cap):
-    """Distinct concatenated vectors of one id-sharing component."""
+    """Distinct joint vectors of one id-sharing component, each variable at
+    its offset in the joint vector and the other variables zero."""
     ids = sorted({i for n in names for i in state[n].id})
     if len(ids) > _MAX_SHARED_FACTORS:
         raise CapacityError(
             f"{len(ids)} shared factors exceed the joint enumeration cap")
-    tables = [pz.value_table(state[n], ids) for n in names]
-    dims = [state[n].dim for n in names]
+    tables = []
+    off = 0
+    for n, z in state.items():
+        if n in names:
+            tables.append((pz.value_table(z, ids), off))
+        off += z.dim
     out = set()
     for i in range(1 << len(ids)):
         vec = 0
-        off = 0
-        for t, d in zip(tables, dims):
+        for t, off in tables:
             vec |= t[i] << off
-            off += d
         out.add(vec)
         if len(out) > cap:
             raise CapacityError(f"joint size exceeds cap {cap}")
@@ -122,33 +131,13 @@ def _component_vectors(state, names, cap):
 
 def poly_joint_set(state, cap=DEFAULT_JOINT_CAP):
     """Joint set over the union of all identifiers, as an ExplicitSet."""
-    names = list(state)
-    comps = _components(state)
-    partial = {}
-    for comp in comps:
-        partial[tuple(comp)] = _component_vectors(state, comp, cap)
     vectors = [0]
-    offsets = {}
-    off = 0
-    for n in names:
-        offsets[n] = off
-        off += state[n].dim
-    for comp in comps:
-        placed = []
-        base = offsets[comp[0]]
-        comp_off = {}
-        o = 0
-        for n in comp:
-            comp_off[n] = o
-            o += state[n].dim
-        for vec in partial[tuple(comp)]:
-            placed.append(sum(
-                (((vec >> comp_off[n]) & ((1 << state[n].dim) - 1))
-                 << offsets[n]) for n in comp))
+    for comp in _components(state):
+        placed = _component_vectors(state, comp, cap)
         vectors = [v | q for v in vectors for q in placed]
         if len(vectors) > cap:
             raise CapacityError(f"joint size exceeds cap {cap}")
-    dim = off
+    dim = sum(z.dim for z in state.values())
     return ex.ExplicitSet(dim, frozenset(
         BinaryVector(dim, v) for v in set(vectors)))
 
@@ -223,11 +212,16 @@ def _projections(model, points):
     off = 0
     for var in model.state_vars:
         mask = (1 << var.dim) - 1
-        values = {(p >> off) & mask for p in points}
-        out[var.name] = ex.ExplicitSet(var.dim, frozenset(
-            BinaryVector(var.dim, v) for v in values))
+        out[var.name] = _explicit_set(var, {(p >> off) & mask
+                                            for p in points})
         off += var.dim
     return out
+
+
+def _explicit_set(var, values):
+    """The ExplicitSet of var's values given as packed ints."""
+    return ex.ExplicitSet(var.dim, frozenset(
+        BinaryVector(var.dim, v) for v in values))
 
 
 def _inputs_constant(model):
@@ -241,11 +235,13 @@ def _reach_lane(model, horizon, algebra, mode, cap):
     elif algebra == "logical":
         state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
                  for v in model.state_vars}
-        step, record = _logical_step, _logical_record
+        step = _logical_step
+        record = partial(_product_record, lambda var, z: lz.lz_evaluate(z))
     else:
-        state = {v.name: pz.pz_enclose_points(v.init)
+        state = {v.name: frozenset(p.bits for p in v.init)
                  for v in model.state_vars}
-        step, record = _minkowski_step, _minkowski_record
+        step = _minkowski_step
+        record = partial(_product_record, _explicit_set)
     records = [record(model, state, 0, 0.0, cap)]
     fixpoint_at = -1
     k = 0
@@ -270,6 +266,42 @@ def _reach_lane(model, horizon, algebra, mode, cap):
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
 
 
+def _product_record(expand, model, state, step, elapsed, cap):
+    """Record of a lane whose variables vary independently of each other:
+    expand(var, value) gives a variable's ExplicitSet, and the joint size
+    is the product of their sizes."""
+    var_sets = {v.name: expand(v, state[v.name]) for v in model.state_vars}
+    size = math.prod(len(s) for s in var_sets.values())
+    if size > cap:
+        raise CapacityError(f"joint size exceeds cap {cap}", step=step)
+    return StepRecord(step, var_sets, size, elapsed)
+
+
+# --- gates over ints and over sets of ints ---------------------------------
+
+# one bitwise operation per gate; m is the updated variable's all-ones
+# mask (in every lane, on the exact lane)
+_LANE_GATES = {
+    Gate.AND: lambda a, b, m: a & b,
+    Gate.XOR: lambda a, b, m: a ^ b,
+    Gate.OR: lambda a, b, m: a | b,
+    Gate.NAND: lambda a, b, m: (a & b) ^ m,
+    Gate.NOR: lambda a, b, m: (a | b) ^ m,
+    Gate.XNOR: lambda a, b, m: a ^ b ^ m,
+}
+
+# the same gates as pointwise images, the operands ranging independently
+_SET_GATES = {
+    kind: (lambda op: lambda a, b, m: frozenset(
+        {op(x, y, m) for x in a for y in b}))(op)
+    for kind, op in _LANE_GATES.items()
+}
+
+
+def _masked(gates, m):
+    return {kind: partial(fn, m=m) for kind, fn in gates.items()}
+
+
 # --- logical lane -----------------------------------------------------------
 
 def _logical_step(model, state, k, cap):
@@ -285,62 +317,31 @@ def _logical_step(model, state, k, cap):
     return {v.name: lz.lz_reduce(env[v.name + "'"]) for v in model.state_vars}
 
 
-def _logical_record(model, state, step, elapsed, cap):
-    var_sets = {name: lz.lz_evaluate(z) for name, z in state.items()}
-    return StepRecord(step, var_sets, joint_size(state, "logical", cap),
-                      elapsed)
-
-
-# --- poly minkowski lane ----------------------------------------------------
+# --- poly minkowski lane: one set of ints per variable ----------------------
 
 def _minkowski_step(model, state, k, cap):
-    """Minkowski poly step computed in the set domain.
+    """The per-variable sets one step after state.
 
-    Every Minkowski operation is an exact pointwise image with operands
-    treated independently, so composing set images gives the same
-    per-variable sets as the generator-space computation; the result is
-    re-encoded as polynomial zonotopes afterwards.
+    Every Minkowski operation is the exact pointwise image of its gate with
+    the operands ranging independently over their sets, so each update is
+    folded over the sets themselves.
     """
-    env = {name: pz.pz_evaluate(z) for name, z in state.items()}
+    env = dict(state)
     for var in model.input_vars:
-        env[var.name] = ex.ExplicitSet.from_points(model.input_set(var, k))
-    new_state = {}
+        env[var.name] = frozenset(p.bits for p in model.input_set(var, k))
     for name in model.order:
-        s = _eval_mink_sets(model.updates[name], env)
-        env[name + "'"] = s
-        new_state[name] = pz.pz_encode_points(s.points)
-    return {v.name: new_state[v.name] for v in model.state_vars}
-
-
-def _eval_mink_sets(expr, env):
-    if isinstance(expr, VarRef):
-        return env[expr.key]
-    if isinstance(expr, Const):
-        return ex.ExplicitSet.singleton(expr.value)
-    if isinstance(expr, Not):
-        return ex.set_not(_eval_mink_sets(expr.child, env))
-    return ex.set_minkowski(_eval_mink_sets(expr.left, env),
-                            _eval_mink_sets(expr.right, env), expr.kind)
-
-
-def _minkowski_record(model, state, step, elapsed, cap):
-    var_sets = {name: pz.pz_evaluate(z) for name, z in state.items()}
-    return StepRecord(step, var_sets, joint_size(state, "poly", cap), elapsed)
+        m = (1 << model.state(name).dim) - 1
+        env[name + "'"] = fold(model.updates[name], env,
+                               lambda value: frozenset((value.bits,)),
+                               lambda a: frozenset({x ^ m for x in a}),
+                               _masked(_SET_GATES, m))
+    return {v.name: env[v.name + "'"] for v in model.state_vars}
 
 
 # --- poly exact lane: joint vectors as ints in model.state_vars order -------
 
 _ORDER = sys.byteorder
 _WORD = array("Q").itemsize
-
-_LANE_GATES = {
-    Gate.AND: lambda a, b, m: a & b,
-    Gate.XOR: lambda a, b, m: a ^ b,
-    Gate.OR: lambda a, b, m: a | b,
-    Gate.NAND: lambda a, b, m: (a & b) ^ m,
-    Gate.NOR: lambda a, b, m: (a | b) ^ m,
-    Gate.XNOR: lambda a, b, m: a ^ b ^ m,
-}
 
 
 def _exact_initial(model, cap):
@@ -368,12 +369,15 @@ def _exact_step(model, points, k, cap):
     ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * len(lanes), _ORDER)
     packed = _pack(lanes, nbytes)
     env = {}
-    masks = {}
+    ops = {}  # name -> fold's const, not_ and gates for its update
     placed = []  # (primed name, offset in the joint vector)
     off = 0
     for var in model.state_vars:
-        masks[var.name] = ((1 << var.dim) - 1) * ones
-        env[var.name] = (packed >> off) & masks[var.name]
+        mask = ((1 << var.dim) - 1) * ones
+        env[var.name] = (packed >> off) & mask
+        ops[var.name] = (lambda value: value.bits * ones,
+                         partial(operator.xor, mask),
+                         _masked(_LANE_GATES, mask))
         placed.append((var.name + "'", off))
         off += var.dim
     names = [v.name for v in model.input_vars]
@@ -384,8 +388,7 @@ def _exact_step(model, points, k, cap):
     for combo in itertools.product(*choices):
         env.update(zip(names, combo))
         for name in model.order:
-            env[name + "'"] = _fold(model.updates[name], env, ones,
-                                    masks[name])
+            env[name + "'"] = fold(model.updates[name], env, *ops[name])
         joint = 0
         for key, off in placed:
             joint |= env[key] << off
@@ -393,18 +396,6 @@ def _exact_step(model, points, k, cap):
         if len(out) > cap:
             raise CapacityError(f"joint size exceeds cap {cap}", step=k + 1)
     return out
-
-
-def _fold(expr, env, ones, mask):
-    """An update over every lane; mask holds the update's width per lane."""
-    if isinstance(expr, VarRef):
-        return env[expr.key]
-    if isinstance(expr, Const):
-        return expr.value.bits * ones
-    if isinstance(expr, Not):
-        return _fold(expr.child, env, ones, mask) ^ mask
-    return _LANE_GATES[expr.kind](_fold(expr.left, env, ones, mask),
-                                  _fold(expr.right, env, ones, mask), mask)
 
 
 def _pack(lanes, nbytes):
@@ -464,8 +455,3 @@ def reach_report(result, requested_steps, fmt="csv", *, model_path=None,
             }
         return json.dumps(doc, indent=2)
     raise ModelError(f"unknown format {fmt!r}")
-
-
-def parse_report(text):
-    """Round-trip helper for JSON reports."""
-    return json.loads(text)

@@ -163,3 +163,22 @@ def test_reach_malformed_model_exits_usage(tmp_path, capsys, doc, message):
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"c": "01"}, "G: missing"),
+    ([1, 2], "zonotope: expected an object, found a list"),
+    ({"c": "010", "G": ["011"], "E": ["1"]}, "id: missing"),
+    ({"c": 1, "G": []}, "c: expected a string, found an integer"),
+    ({"c": "01", "G": ["01", "0x"]},
+     "G[1]: expected a bitstring of 2 bits, found '0x'"),
+    ({"c": "0", "G": ["1"], "E": ["1"], "id": ["a"]},
+     "id[0]: expected an integer, found a string"),
+])
+def test_eval_malformed_zonotope_exits_usage(tmp_path, capsys, doc, message):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["eval", "--input", str(path)])
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"

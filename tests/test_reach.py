@@ -1,13 +1,15 @@
+import json
+import math
 import random
 
 import pytest
 
+from logizono import explicit as ex
 from logizono.binvec import BinaryMatrix, BinaryVector
 from logizono.errors import CapacityError, ModelError
-from logizono.model import parse_model
+from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
-from logizono.reach import (joint_size, parse_report, poly_joint_set, reach,
-                            reach_report)
+from logizono.reach import joint_size, poly_joint_set, reach, reach_report
 
 
 def bv(text):
@@ -182,8 +184,8 @@ def test_reports_round_trip():
     assert [ln.split(",")[0] for ln in lines[2:]] == ["0", "1", "3"]
     assert [ln.split(",")[2] for ln in lines[2:]] == ["2", "2", "2"]
 
-    doc = parse_report(reach_report(res, [0, 3], fmt="json", seed=5,
-                                    dump_sets=True))
+    doc = json.loads(reach_report(res, [0, 3], fmt="json", seed=5,
+                                  dump_sets=True))
     assert doc["algebra"] == "logical"
     assert doc["rows"][1] == {"steps": 3,
                               "time_seconds": doc["rows"][1]["time_seconds"],
@@ -294,7 +296,9 @@ def test_exact_lane_matches_oracle_on_random_models(wide):
             assert got.var_sets == truth.var_sets
 
 
-def test_exact_lane_capacity_error_names_the_step():
+@pytest.mark.parametrize("algebra, mode", [
+    ("poly", "exact"), ("poly", "minkowski"), ("logical", "minkowski")])
+def test_capacity_error_names_the_step(algebra, mode):
     doc = {
         "vars": [
             {"name": "x", "role": "state", "dim": 3, "init": ["000"]},
@@ -304,7 +308,38 @@ def test_exact_lane_capacity_error_names_the_step():
         "updates": {"x": "x ^ u"},
     }
     model = parse_model(doc)
-    assert reach(model, 2, "poly", "exact", cap=8).sizes() == [1, 2, 8]
+    assert reach(model, 2, algebra, mode, cap=8).sizes() == [1, 2, 8]
     with pytest.raises(CapacityError) as err:
-        reach(model, 2, "poly", "exact", cap=4)
+        reach(model, 2, algebra, mode, cap=4)
     assert err.value.step == 2
+
+
+def minkowski_image(expr, env):
+    """Naive Minkowski evaluation: every operand ranges independently."""
+    if isinstance(expr, VarRef):
+        return env[expr.key]
+    if isinstance(expr, Const):
+        return ex.ExplicitSet.singleton(expr.value)
+    if isinstance(expr, Not):
+        return ex.set_not(minkowski_image(expr.child, env))
+    return ex.set_minkowski(minkowski_image(expr.left, env),
+                            minkowski_image(expr.right, env), expr.kind)
+
+
+def test_minkowski_lane_composes_pointwise_images():
+    rng = random.Random(23)
+    for _ in range(60):
+        model, horizon = random_lane_model(rng)
+        mink = reach(model, horizon, "poly", "minkowski", cap=2**60)
+        for k in range(horizon):
+            env = dict(mink.record(k).var_sets)
+            for var in model.input_vars:
+                env[var.name] = ex.ExplicitSet.from_points(
+                    model.input_set(var, k))
+            for name in model.order:
+                env[name + "'"] = minkowski_image(model.updates[name], env)
+            got = mink.record(k + 1)
+            assert got.var_sets == {v.name: env[v.name + "'"]
+                                    for v in model.state_vars}
+            assert got.joint_size == math.prod(
+                len(s) for s in got.var_sets.values())
