@@ -127,15 +127,6 @@ class BinaryMatrix:
                 raise DimensionError("column dimension does not match row count")
 
     @staticmethod
-    def from_columns(columns, rows=None):
-        columns = tuple(columns)
-        if rows is None:
-            if not columns:
-                raise ValueError("rows required for an empty matrix")
-            rows = columns[0].dim
-        return BinaryMatrix(rows, columns)
-
-    @staticmethod
     def empty(rows):
         return BinaryMatrix(rows, ())
 

@@ -8,9 +8,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .binvec import BinaryMatrix, BinaryVector
+from .binvec import BinaryVector
 from .errors import SearchFailure
-from .logical import LogicalZonotope, lz_compact
 from .model import Model, parse_model
 
 
@@ -174,17 +173,6 @@ class AffineBit:
 
     def contains(self, bit):
         return bool(self.mask) or self.const == bit
-
-    def to_zonotope(self):
-        gens = tuple(BinaryVector(1, 1)
-                     for k in range(self.mask.bit_length())
-                     if (self.mask >> k) & 1)
-        z = LogicalZonotope(BinaryVector(1, self.const),
-                            BinaryMatrix(1, gens))
-        return lz_compact(z)
-
-    def evaluate(self):
-        return {self.const} if not self.mask else {0, 1}
 
 
 def key_bit_sets(bits):

@@ -2,8 +2,11 @@
 
 Subcommands: reach (run a model and report sizes/times), lfsr (round-trip
 key search), eval (enumerate a serialized zonotope), selftest (randomized
-oracle-equivalence checks). The env var LOGIZONO_CAP overrides the
-enumeration caps.
+oracle-equivalence checks).
+
+reach and eval share one capacity budget: the most elements any one set
+or table may hold (a joint set, a variable's set, a 2^p value table).
+`reach --cap` sets it, else the env var LOGIZONO_CAP, else 2^20.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from importlib import resources
 
 from .binvec import BinaryMatrix, BinaryVector, Gate
-from .errors import CapacityError, ModelError, SearchFailure
+from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
 from .model import (_LZ_GATES, _PZ_MINK, _field, _matrix, _typed, _vector,
                     load_model, parse_model)
@@ -30,16 +33,12 @@ EXIT_CAPACITY = 3
 EXIT_SEARCH = 4
 
 
-def _cap(default=2**20):
+def _cap(flag=None):
+    """The capacity budget: --cap, else LOGIZONO_CAP, else DEFAULT_CAP."""
+    if flag is not None:
+        return flag
     text = os.environ.get("LOGIZONO_CAP")
-    return int(text) if text else default
-
-
-def _factor_cap():
-    text = os.environ.get("LOGIZONO_CAP")
-    if not text:
-        return pz.DEFAULT_FACTOR_CAP
-    return max(int(text).bit_length() - 1, 1)
+    return int(text) if text else DEFAULT_CAP
 
 
 def _resolve_model(spec_text):
@@ -106,12 +105,12 @@ def cmd_eval(args):
     _typed(doc, dict, "zonotope")
     if "E" in doc:
         z = pz.PolyLogicalZonotope.from_json(doc)
-        points = pz.pz_evaluate(z, cap=_factor_cap())
+        points = pz.pz_evaluate(z, cap=_cap())
     else:
         text = _field(doc, "c", str, "")
         c = _vector(text, len(text), "c")
         z = lz.LogicalZonotope(c, _matrix(doc, "G", c.dim))
-        points = lz.lz_evaluate(z, cap=_factor_cap())
+        points = lz.lz_evaluate(z, cap=_cap())
     for p in points:
         print(p.to_string())
     return EXIT_OK
@@ -157,11 +156,9 @@ def _random_pz(rng, n):
 
 
 def _random_lz(rng, n):
-    gamma = rng.randint(0, 3)
-    c = BinaryVector(n, rng.getrandbits(n))
-    G = BinaryMatrix(n, tuple(BinaryVector(n, rng.getrandbits(n))
-                              for _ in range(gamma)))
-    return lz.LogicalZonotope(c, G)
+    # a random center and zero to three random generators
+    return lz.lz_enclose_points([BinaryVector(n, rng.getrandbits(n))
+                                 for _ in range(rng.randint(1, 4))])
 
 
 def build_parser():
@@ -182,7 +179,8 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--dump-sets", action="store_true")
-    p.add_argument("--cap", type=int, default=2**20)
+    p.add_argument("--cap", type=int,
+                   help="most elements one set or table may hold")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_reach)
 

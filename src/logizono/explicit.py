@@ -7,12 +7,11 @@ pointwise semantics implemented here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .binvec import BinaryVector, Gate, bv_not, bv_op
-from .errors import CapacityError, DimensionError
-
-DEFAULT_POINT_CAP = 2**20
+from .errors import DEFAULT_CAP, DimensionError, check_cap
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def set_not(a: ExplicitSet) -> ExplicitSet:
 
 
 def reach_explicit(model, steps, *, break_next_state_deps=False,
-                   cap=DEFAULT_POINT_CAP):
+                   cap=DEFAULT_CAP):
     """Exact N-step reachability over joint states.
 
     The joint state is the concatenation of all state variables in
@@ -106,6 +105,8 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
             off += d
         return out
 
+    sizes = [len(set(v.init)) for v in model.state_vars]
+    check_cap("joint set", math.prod(sizes), cap, step=0)
     initial = [
         joint(vecs)
         for vecs in itertools.product(*[v.init for v in model.state_vars])
@@ -146,9 +147,7 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
 def _record(vecs, joint, seen, points, cap, step):
     v = joint(vecs)
     if v not in seen:
-        if len(seen) >= cap:
-            raise CapacityError(f"joint state count exceeds cap {cap}",
-                                step=step + 1)
+        check_cap("joint set", len(seen) + 1, cap, step=step + 1)
         seen.add(v)
         points.append(v)
 

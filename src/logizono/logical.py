@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binvec import BinaryMatrix, BinaryVector, bv_and, bv_not, bv_xor
-from .errors import CapacityError, DimensionError
+from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
-
-DEFAULT_GEN_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,13 @@ def lz_xnor(a, b):
 def lz_and(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     """Over-approximating AND; the result contains every pointwise product."""
     _check(a, b)
+    return LogicalZonotope(bv_and(a.c, b.c), and_generators(a, b))
+
+
+def and_generators(a, b):
+    """Generator columns of a AND b, for logical and polynomial logical
+    zonotopes alike: a.c & each of b's generators, b.c & each of a's, then
+    every pair of generators, a's outer."""
     cols = []
     for g in b.G.columns:
         cols.append(bv_and(a.c, g))
@@ -67,7 +72,7 @@ def lz_and(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     for g1 in a.G.columns:
         for g2 in b.G.columns:
             cols.append(bv_and(g1, g2))
-    return LogicalZonotope(bv_and(a.c, b.c), BinaryMatrix(a.dim, tuple(cols)))
+    return BinaryMatrix(a.dim, tuple(cols))
 
 
 def lz_nand(a, b):
@@ -92,15 +97,16 @@ def lz_enclose_points(points) -> LogicalZonotope:
     return LogicalZonotope(c, BinaryMatrix(c.dim, tuple(cols)))
 
 
-def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_GEN_CAP) -> ExplicitSet:
+def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
     """Enumerate the represented set.
 
-    The work is bounded by reducing the generators to an independent
-    basis first, which preserves the set exactly.
+    The generators are first reduced to an independent basis, which
+    preserves the set exactly; gamma independent generators give 2^gamma
+    points, and more than cap points raise CapacityError before any is
+    built.
     """
     r = lz_reduce(a)
-    if r.gamma > cap:
-        raise CapacityError(f"{r.gamma} independent generators exceeds cap {cap}")
+    check_cap("logical zonotope set", 1 << r.gamma, cap)
     points = {a.c.bits}
     for g in r.G.columns:
         points |= {x ^ g.bits for x in points}
@@ -108,8 +114,7 @@ def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_GEN_CAP) -> ExplicitSet:
         BinaryVector(a.dim, x) for x in points))
 
 
-def lz_contains(a: LogicalZonotope, point: BinaryVector,
-                cap=DEFAULT_GEN_CAP) -> bool:
+def lz_contains(a: LogicalZonotope, point: BinaryVector) -> bool:
     if a.dim != point.dim:
         raise DimensionError(f"dim {a.dim} vs {point.dim}")
     # point is in the set iff point xor c lies in the span of the generators

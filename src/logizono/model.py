@@ -53,6 +53,10 @@ class GateExpr:
 
 _FUNC_GATES = {"NAND": Gate.NAND, "NOR": Gate.NOR, "XNOR": Gate.XNOR}
 
+# most nesting levels in an update: every walk over it stays far below the
+# interpreter's recursion limit
+MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(?P<bits>[01]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'?)"
                     r"|(?P<punct>[!&^|(),]))")
 
@@ -83,6 +87,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parse_unary calls, outside this one
 
     def peek(self):
         return self.tokens[self.i]
@@ -127,11 +132,19 @@ class _Parser:
         return left
 
     def parse_unary(self):
+        # every nested operand passes through here
         kind, text, pos = self.peek()
+        if self.depth > MAX_DEPTH:
+            raise ModelError(f"nested deeper than {MAX_DEPTH} levels",
+                             position=pos)
+        self.depth += 1
         if text == "!":
             self.take()
-            return Not(self.parse_unary())
-        return self.parse_atom()
+            expr = Not(self.parse_unary())
+        else:
+            expr = self.parse_atom()
+        self.depth -= 1
+        return expr
 
     def parse_atom(self):
         kind, text, pos = self.take()
@@ -174,18 +187,21 @@ def print_expr(expr):
 
 
 def _leaves(expr):
-    """The VarRef and Const operands of expr, left to right."""
-    if isinstance(expr, Not):
-        yield from _leaves(expr.child)
-    elif isinstance(expr, GateExpr):
-        yield from _leaves(expr.left)
-        yield from _leaves(expr.right)
-    else:
-        yield expr
+    """The VarRef and Const operands of expr, left to right, each with its
+    depth in the tree. Iterative, so a deep tree cannot overflow it."""
+    stack = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Not):
+            stack.append((node.child, depth + 1))
+        elif isinstance(node, GateExpr):
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+        else:
+            yield node, depth
 
 
 def expr_refs(expr):
-    return (leaf for leaf in _leaves(expr) if isinstance(leaf, VarRef))
+    return (leaf for leaf, _ in _leaves(expr) if isinstance(leaf, VarRef))
 
 
 def next_state_refs(expr):
@@ -324,8 +340,12 @@ def _check_update(name, expr, dims, states, seen):
     """References, next-state references and operand widths of one update:
     every operand has the width of the variable it updates."""
     path = f"updates.{name}"
-    for leaf in _leaves(expr):
+    for leaf, depth in _leaves(expr):
         where = f"at position {leaf.pos}"
+        if depth > MAX_DEPTH:
+            # a long chain such as a & a & ... nests without parentheses
+            raise ModelError(f"{path}: nested deeper than {MAX_DEPTH} "
+                             f"levels {where}", position=leaf.pos)
         if isinstance(leaf, Const):
             label, width = leaf.value.to_string(), leaf.value.dim
         else:

@@ -14,10 +14,9 @@ import threading
 from dataclasses import dataclass
 
 from .binvec import BinaryMatrix, BinaryVector, bv_and, bv_not, bv_xor
-from .errors import CapacityError, DimensionError
+from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
-
-DEFAULT_FACTOR_CAP = 24
+from .logical import and_generators
 
 _id_lock = threading.Lock()
 _id_next = 1
@@ -73,7 +72,8 @@ class PolyLogicalZonotope:
             "c": self.c.to_string(),
             "G": self.G.to_strings(),
             "E": self.E.to_strings(),
-            "id": list(self.id),
+            # renumbered 1..p, independent of the process's allocations
+            "id": list(range(1, self.p + 1)),
         }
 
     @staticmethod
@@ -120,11 +120,6 @@ def merge_id(a, b):
     return a2, b2
 
 
-def _relabel(a):
-    """Same structure with fresh identifiers (Minkowski independence)."""
-    return PolyLogicalZonotope(a.c, a.G, a.E, unique_id(a.p))
-
-
 def pz_mink_xor(a, b):
     _check(a, b)
     p1, p2 = a.p, b.p
@@ -134,18 +129,6 @@ def pz_mink_xor(a, b):
     return PolyLogicalZonotope(
         bv_xor(a.c, b.c), a.G.hstack(b.G),
         BinaryMatrix(rows, tuple(cols)), unique_id(rows))
-
-
-def _and_generators(a, b):
-    cols = []
-    for g in b.G.columns:
-        cols.append(bv_and(a.c, g))
-    for g in a.G.columns:
-        cols.append(bv_and(b.c, g))
-    for g1 in a.G.columns:
-        for g2 in b.G.columns:
-            cols.append(bv_and(g1, g2))
-    return BinaryMatrix(a.dim, tuple(cols))
 
 
 def pz_mink_and(a, b):
@@ -163,7 +146,7 @@ def pz_mink_and(a, b):
         for c2 in b.E.columns:
             ecols.append(BinaryVector(rows, c1.bits | (c2.bits << p1)))
     return PolyLogicalZonotope(
-        bv_and(a.c, b.c), _and_generators(a, b),
+        bv_and(a.c, b.c), and_generators(a, b),
         BinaryMatrix(rows, tuple(ecols)), unique_id(rows))
 
 
@@ -200,7 +183,7 @@ def pz_exact_and(a, b):
         for c2 in b.E.columns:
             ecols.append(BinaryVector(len(a.id), c1.bits | c2.bits))
     return PolyLogicalZonotope(
-        bv_and(a.c, b.c), _and_generators(a, b),
+        bv_and(a.c, b.c), and_generators(a, b),
         BinaryMatrix(len(a.id), tuple(ecols)), a.id)
 
 
@@ -271,21 +254,23 @@ def value_table(a, id_order=None):
     return table
 
 
-def pz_evaluate(a, cap=DEFAULT_FACTOR_CAP) -> ExplicitSet:
-    if a.p > cap:
-        raise CapacityError(f"{a.p} factors exceeds cap {cap}")
+def pz_evaluate(a, cap=DEFAULT_CAP) -> ExplicitSet:
+    """Enumerate the represented set through its value table of 2^p
+    entries; a table of more than cap entries raises CapacityError
+    before it is built."""
+    check_cap("polynomial zonotope value table", 1 << a.p, cap)
     table = value_table(a)
     return ExplicitSet(a.dim, frozenset(
         BinaryVector(a.dim, bits) for bits in set(table)))
 
 
-def pz_contains(a, point, cap=DEFAULT_FACTOR_CAP):
+def pz_contains(a, point, cap=DEFAULT_CAP):
     if a.dim != point.dim:
         raise DimensionError(f"dim {a.dim} vs {point.dim}")
     return point in pz_evaluate(a, cap=cap).points
 
 
-def pz_simplify(a, cap=DEFAULT_FACTOR_CAP):
+def pz_simplify(a, cap=DEFAULT_CAP):
     """Greedily drop generators whose removal keeps the same point set,
     then drop identifier rows no remaining generator uses."""
     target = pz_evaluate(a, cap=cap).points

@@ -45,15 +45,13 @@ from dataclasses import dataclass
 from functools import partial
 
 from .binvec import BinaryVector, Gate
-from .errors import CapacityError, ModelError
+from .errors import DEFAULT_CAP, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
 from .model import eval_expr, fold
 
 ALGEBRAS = ("explicit", "logical", "poly")
-DEFAULT_JOINT_CAP = 2**20
-_MAX_SHARED_FACTORS = 22
 
 
 @dataclass(frozen=True)
@@ -109,9 +107,7 @@ def _component_vectors(state, names, cap):
     """Distinct joint vectors of one id-sharing component, each variable at
     its offset in the joint vector and the other variables zero."""
     ids = sorted({i for n in names for i in state[n].id})
-    if len(ids) > _MAX_SHARED_FACTORS:
-        raise CapacityError(
-            f"{len(ids)} shared factors exceed the joint enumeration cap")
+    check_cap("joint value table", 1 << len(ids), cap)
     tables = []
     off = 0
     for n, z in state.items():
@@ -124,60 +120,61 @@ def _component_vectors(state, names, cap):
         for t, off in tables:
             vec |= t[i] << off
         out.add(vec)
-        if len(out) > cap:
-            raise CapacityError(f"joint size exceeds cap {cap}")
     return out
 
 
-def poly_joint_set(state, cap=DEFAULT_JOINT_CAP):
+def poly_joint_set(state, cap=DEFAULT_CAP):
     """Joint set over the union of all identifiers, as an ExplicitSet."""
     vectors = [0]
     for comp in _components(state):
         placed = _component_vectors(state, comp, cap)
+        check_cap("joint set", len(vectors) * len(placed), cap)
         vectors = [v | q for v in vectors for q in placed]
-        if len(vectors) > cap:
-            raise CapacityError(f"joint size exceeds cap {cap}")
     dim = sum(z.dim for z in state.values())
     return ex.ExplicitSet(dim, frozenset(
         BinaryVector(dim, v) for v in set(vectors)))
 
 
-def joint_size(state, algebra, cap=DEFAULT_JOINT_CAP):
+def joint_size(state, algebra, cap=DEFAULT_CAP):
     """Count of distinct concatenated state vectors.
 
     explicit: cardinality of the joint set. logical: each variable's
     generators vary independently, so the product of the per-variable
-    set sizes. poly: enumeration over the union of all identifiers;
-    variables sharing no identifiers contribute multiplicatively.
+    set sizes, 2^gamma for gamma independent generators. poly: each group
+    of variables sharing identifiers is enumerated over its k shared
+    factors; groups contribute multiplicatively.
+
+    cap is the most elements any one set or table may hold; a 2^k value
+    table or a joint count above it raises CapacityError.
     """
     if algebra == "explicit":
         return len(state)
     if algebra == "logical":
-        total = 1
-        for z in state.values():
-            total *= len(lz.lz_evaluate(z))
-            if total > cap:
-                raise CapacityError(f"joint size exceeds cap {cap}")
-        return total
-    if algebra == "poly":
-        total = 1
-        for comp in _components(state):
-            total *= len(_component_vectors(state, comp, cap))
-            if total > cap:
-                raise CapacityError(f"joint size exceeds cap {cap}")
-        return total
-    raise ModelError(f"unknown algebra {algebra!r}")
+        sizes = [1 << lz.lz_reduce(z).gamma for z in state.values()]
+    elif algebra == "poly":
+        sizes = [len(_component_vectors(state, comp, cap))
+                 for comp in _components(state)]
+    else:
+        raise ModelError(f"unknown algebra {algebra!r}")
+    total = math.prod(sizes)
+    check_cap("joint set", total, cap)
+    return total
 
 
 # --- the engine -------------------------------------------------------------
 
 def reach(model, steps, algebra, mode="minkowski", *,
-          break_next_state_deps=False, cap=DEFAULT_JOINT_CAP):
+          break_next_state_deps=False, cap=DEFAULT_CAP):
     """Run reachability for max(steps) steps, recording every step.
 
-    steps may be an int or a list of step counts.
+    steps may be an int or a list of step counts, none negative. cap is
+    the most elements any one set or table may hold; it is checked before
+    each set is built, and the CapacityError names the step in .step.
     """
     requested = [steps] if isinstance(steps, int) else sorted(steps)
+    if requested and requested[0] < 0:
+        raise ModelError(
+            f"steps: must be non-negative, found {requested[0]}")
     horizon = max(requested) if requested else 0
     if algebra not in ALGEBRAS:
         raise ModelError(f"unknown algebra {algebra!r}")
@@ -236,12 +233,14 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
                  for v in model.state_vars}
         step = _logical_step
-        record = partial(_product_record, lambda var, z: lz.lz_evaluate(z))
+        # every state zonotope is reduced: gamma generators, 2^gamma points
+        record = partial(_product_record, lambda z: 1 << z.gamma,
+                         lambda var, z: lz.lz_evaluate(z, cap))
     else:
         state = {v.name: frozenset(p.bits for p in v.init)
                  for v in model.state_vars}
         step = _minkowski_step
-        record = partial(_product_record, _explicit_set)
+        record = partial(_product_record, len, _explicit_set)
     records = [record(model, state, 0, 0.0, cap)]
     fixpoint_at = -1
     k = 0
@@ -266,15 +265,16 @@ def _reach_lane(model, horizon, algebra, mode, cap):
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
 
 
-def _product_record(expand, model, state, step, elapsed, cap):
+def _product_record(size, expand, model, state, step, elapsed, cap):
     """Record of a lane whose variables vary independently of each other:
-    expand(var, value) gives a variable's ExplicitSet, and the joint size
-    is the product of their sizes."""
+    size(value) is a variable's set size, expand(var, value) its
+    ExplicitSet, and the joint size is the product of the sizes. The
+    product bounds every variable's size, and it is checked against cap
+    before any set is expanded."""
+    total = math.prod(size(state[v.name]) for v in model.state_vars)
+    check_cap("joint set", total, cap, step)
     var_sets = {v.name: expand(v, state[v.name]) for v in model.state_vars}
-    size = math.prod(len(s) for s in var_sets.values())
-    if size > cap:
-        raise CapacityError(f"joint size exceeds cap {cap}", step=step)
-    return StepRecord(step, var_sets, size, elapsed)
+    return StepRecord(step, var_sets, total, elapsed)
 
 
 # --- gates over ints and over sets of ints ---------------------------------
@@ -345,13 +345,12 @@ _WORD = array("Q").itemsize
 
 
 def _exact_initial(model, cap):
+    inits = [{p.bits for p in var.init} for var in model.state_vars]
+    check_cap("joint set", math.prod(map(len, inits)), cap, step=0)
     points = [0]
     off = 0
-    for var in model.state_vars:
-        values = {p.bits << off for p in var.init}
-        points = [q | v for q in points for v in values]
-        if len(points) > cap:
-            raise CapacityError(f"joint size exceeds cap {cap}", step=0)
+    for var, values in zip(model.state_vars, inits):
+        points = [q | (v << off) for q in points for v in values]
         off += var.dim
     return set(points)
 
@@ -393,8 +392,7 @@ def _exact_step(model, points, k, cap):
         for key, off in placed:
             joint |= env[key] << off
         out.update(_unpack(joint, len(lanes), nbytes))
-        if len(out) > cap:
-            raise CapacityError(f"joint size exceeds cap {cap}", step=k + 1)
+        check_cap("joint set", len(out), cap, step=k + 1)
     return out
 
 

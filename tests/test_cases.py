@@ -8,7 +8,6 @@ from logizono.cases import (AffineBit, LfsrSpec, boolean10_document,
                             intersection_model, key_bit_sets, lfsr_encrypt,
                             lfsr_keystream, lfsr_recover_key)
 from logizono.errors import SearchFailure
-from logizono.logical import lz_evaluate
 from logizono.reach import reach
 
 
@@ -148,8 +147,6 @@ def test_affine_bit_is_exact_over_xor():
             acc = acc ^ sets[i]
             concrete ^= keybits[i]
         assert acc.contains(concrete)
-        assert {p.bits for p in lz_evaluate(acc.to_zonotope()).points} == \
-            acc.evaluate()
 
 
 def test_key_recovery_round_trip():

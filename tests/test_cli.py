@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logizono import cli
 from logizono.errors import SearchFailure
@@ -114,6 +120,26 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert rc == cli.EXIT_CAPACITY
 
 
+def test_cap_flag_beats_env(capsys, monkeypatch):
+    monkeypatch.setenv("LOGIZONO_CAP", "8")
+    argv = ["reach", "--model", "intersection", "--algebra", "poly",
+            "--mode", "exact", "--steps", "2"]
+    rc, _, err = run(capsys, argv)
+    assert rc == cli.EXIT_CAPACITY
+    assert "over the cap of 8" in err
+    rc, out, _ = run(capsys, argv + ["--cap", "1000000"])
+    assert rc == cli.EXIT_OK
+    assert out.splitlines()[-1].startswith("2,")
+
+
+def test_reach_negative_steps_exits_usage(capsys):
+    rc, out, err = run(capsys, ["reach", "--model", "intersection",
+                                "--steps", "1,-1"])
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: steps: must be non-negative, found -1\n"
+
+
 def test_lfsr_round_trip(capsys):
     rc, out, _ = run(capsys, ["lfsr", "--lk", "12", "--seed", "0"])
     assert rc == cli.EXIT_OK
@@ -153,6 +179,12 @@ def test_selftest(capsys):
       "updates": {"x": "!x"}}, "vars[1].name: duplicate variable 'x'"),
     ({"vars": [{"name": "x", "dim": 2, "init": ["00"]}],
       "updates": {"x": "x & 1"}}, "updates.x: operand '1' at position 5"),
+    ({"vars": [{"name": "x", "dim": 1, "init": ["0"]}],
+      "updates": {"x": "!" * 5000 + "x"}},
+     "updates.x: nested deeper than 100 levels at position 102"),
+    ({"vars": [{"name": "x", "dim": 1, "init": ["0"]}],
+      "updates": {"x": "(" * 300 + "x" + ")" * 300}},
+     "updates.x: nested deeper than 100 levels at position 102"),
 ])
 def test_reach_malformed_model_exits_usage(tmp_path, capsys, doc, message):
     path = tmp_path / "model.json"
@@ -182,3 +214,98 @@ def test_eval_malformed_zonotope_exits_usage(tmp_path, capsys, doc, message):
     assert rc == cli.EXIT_USAGE
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# --- fuzzing: any input file gives exit 0, 2 or 3 and never a traceback ------
+
+VALID_MODEL = {
+    "vars": [
+        {"name": "x", "role": "state", "dim": 2, "init": ["00", "11"]},
+        {"name": "y", "role": "state", "dim": 2, "init": ["01"]},
+        {"name": "u", "role": "input", "dim": 2, "set": ["01", "10"]},
+        {"name": "v", "role": "input", "dim": 2,
+         "steps": [["11"], ["00", "01"]]},
+    ],
+    "updates": {"x": "x ^ u", "y": "NAND(y, x') | v"},
+    "order": ["x", "y"],
+}
+
+VALID_ZONOTOPES = [
+    {"c": "010", "G": ["011", "111"], "E": ["10", "11"], "id": [1, 2]},
+    {"c": "00", "G": ["10", "01"]},
+]
+
+KEYS = ("vars", "updates", "order", "name", "role", "dim", "init", "set",
+        "steps", "c", "G", "E", "id")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["0", "01", "110", "x & !x",
+                                             "input", "state"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4),
+                                     inner, max_size=4)),
+    max_leaves=12)
+
+
+def _paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, valid):
+    """valid with one to three values replaced by arbitrary JSON, or
+    removed from their object."""
+    doc = copy.deepcopy(draw(st.sampled_from(valid)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(json_values)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def run_file(tmp_dir, doc, argv):
+    path = tmp_dir / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"LOGIZONO_CAP": "4096"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([a.replace("INPUT", str(path)) for a in argv])
+    return rc, err.getvalue()
+
+
+LANES = [["--algebra", "poly", "--mode", "minkowski"],
+         ["--algebra", "poly", "--mode", "exact"],
+         ["--algebra", "logical"], ["--algebra", "explicit"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=json_values | mutated([VALID_MODEL]), lane=st.sampled_from(LANES))
+def test_fuzz_reach_exits_cleanly(tmp_path_factory, doc, lane):
+    rc, err = run_file(tmp_path_factory.getbasetemp(), doc,
+                       ["reach", "--model", "INPUT", "--steps", "0,2",
+                        "--cap", "4096"] + lane)
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_CAPACITY)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=json_values | mutated(VALID_ZONOTOPES))
+def test_fuzz_eval_exits_cleanly(tmp_path_factory, doc):
+    rc, err = run_file(tmp_path_factory.getbasetemp(), doc,
+                       ["eval", "--input", "INPUT"])
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_CAPACITY)
+    assert "Traceback" not in err

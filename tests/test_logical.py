@@ -113,9 +113,10 @@ def test_contains_matches_enumeration(z):
 
 def test_evaluate_cap():
     z = LogicalZonotope(bv([0, 0]), BinaryMatrix(2, (bv([1, 0]), bv([0, 1]))))
-    with pytest.raises(CapacityError):
-        lz_evaluate(z, cap=1)
-    assert len(lz_evaluate(z, cap=2)) == 4
+    with pytest.raises(CapacityError) as err:
+        lz_evaluate(z, cap=3)
+    assert "needs 4 elements" in str(err.value)
+    assert len(lz_evaluate(z, cap=4)) == 4
 
 
 def test_sizes_are_powers_of_two():

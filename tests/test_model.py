@@ -73,6 +73,20 @@ def test_print_parse_round_trip():
         assert parse_expr(print_expr(expr)) == expr
 
 
+@pytest.mark.parametrize("update, position", [
+    ("!" * 5000 + "x", 102),
+    ("(" * 300 + "x" + ")" * 300, 102),
+    (" & ".join(["x"] * 5000), 1),
+])
+def test_deep_nesting_is_a_model_error(update, position):
+    doc = {"vars": [{"name": "x", "dim": 1, "init": ["0"]}],
+           "updates": {"x": update}}
+    with pytest.raises(ModelError) as err:
+        parse_model(doc)
+    assert str(err.value) == (f"updates.x: nested deeper than 100 levels "
+                              f"at position {position}")
+
+
 def test_expr_refs():
     refs = list(expr_refs(parse_expr("a & b' | !a")))
     assert [r.key for r in refs] == ["a", "b'", "a"]

@@ -188,8 +188,20 @@ def test_json_round_trip():
     z = example_zonotope()
     doc = z.to_json()
     back = PolyLogicalZonotope.from_json(doc)
-    assert back == z
-    assert doc["id"] == [1001, 1002]
+    assert (back.c, back.G, back.E) == (z.c, z.G, z.E)
+    assert doc["id"] == [1, 2]
+    assert pz_evaluate(back).points == pz_evaluate(z).points
+
+
+def test_json_ids_do_not_depend_on_allocation():
+    pts = [bv([0, 0, 1]), bv([1, 1, 0]), bv([1, 0, 1])]
+    first = pz_encode_points(pts)
+    unique_id(50)
+    second = pz_encode_points(pts)
+    assert first.id != second.id
+    assert first.to_json() == second.to_json()
+    back = PolyLogicalZonotope.from_json(second.to_json())
+    assert pz_evaluate(back).points == frozenset(pts)
 
 
 def test_singleton():
@@ -203,3 +215,12 @@ def test_factor_cap():
     z = pz_enclose_points(pts)
     with pytest.raises(CapacityError):
         pz_evaluate(z, cap=3)
+
+
+def test_cap_counts_value_table_entries():
+    z = pz_encode_points([BinaryVector(2, b) for b in range(4)])
+    assert z.p == 2
+    assert len(pz_evaluate(z, cap=4)) == 4
+    with pytest.raises(CapacityError) as err:
+        pz_evaluate(z, cap=3)
+    assert "needs 4 elements, over the cap of 3" in str(err.value)

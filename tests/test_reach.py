@@ -159,6 +159,37 @@ def test_joint_size_components():
     assert poly_joint_set(corr).points == frozenset({bv("00"), bv("11")})
 
 
+def test_joint_size_cap_counts_table_entries():
+    # three shared factors: a value table of 8 entries, 8 distinct points
+    z = pz_encode_points([BinaryVector(3, b) for b in range(8)])
+    state = {"a": z, "b": z}
+    assert joint_size(state, "poly", cap=8) == 8
+    with pytest.raises(CapacityError) as err:
+        joint_size(state, "poly", cap=7)
+    assert "needs 8 elements" in str(err.value)
+
+
+def test_logical_lane_checks_cap_before_enumerating():
+    dim = 20
+    init = ["0" * dim] + ["0" * i + "1" + "0" * (dim - 1 - i)
+                          for i in range(dim)]
+    model = parse_model({
+        "vars": [{"name": "x", "role": "state", "dim": dim, "init": init}],
+        "updates": {"x": "x"},
+    })
+    with pytest.raises(CapacityError) as err:
+        reach(model, 0, "logical", cap=10)
+    assert err.value.step == 0
+    assert f"needs {2**dim} elements, over the cap of 10" in str(err.value)
+
+
+def test_negative_steps_rejected():
+    with pytest.raises(ModelError):
+        reach(identity_model(), [1, -1], "logical")
+    with pytest.raises(ModelError):
+        reach(identity_model(), -1, "poly", "exact")
+
+
 def test_joint_cap():
     doc = {
         "vars": [
