@@ -106,14 +106,6 @@ def bv_not(a: BinaryVector) -> BinaryVector:
     return BinaryVector(a.dim, ~a.bits & _mask(a.dim))
 
 
-def bv_xor(a, b):
-    return bv_op(a, b, Gate.XOR)
-
-
-def bv_and(a, b):
-    return bv_op(a, b, Gate.AND)
-
-
 @dataclass(frozen=True)
 class BinaryMatrix:
     """A column-major binary matrix; columns are BinaryVectors of dim rows."""

@@ -188,24 +188,40 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     remaining bit j is tentatively fixed to 0 while bits j+1.. stay the
     full set {0, 1}; if the cipher-bit sets generated under that
     assumption fail to contain the observed ciphertext, bit j must be 1.
-    A candidate only survives if re-encrypting the message with the fully
+    XOR is exact over these sets, so the keystream is built once with every
+    key bit free: bit i is the parity of mask_i & key, a single value once
+    the highest key bit in mask_i is fixed and {0, 1} before. Step j checks
+    only the bits it fixes, each one int parity against m_i ^ c_i. A
+    candidate only survives if re-encrypting the message with the fully
     resolved key reproduces the ciphertext exactly.
     """
     message = list(message)
     cipher = list(cipher)
     if len(message) != len(cipher):
         raise ValueError("message and ciphertext lengths differ")
+    # at_step[j]: (mask_i, m_i ^ c_i) of the stream bits whose highest key
+    # bit is j, fixed at step j; step 2 also takes those below bit 2
+    at_step = [[] for _ in range(spec.lk + 1)]
+    stream = lfsr_keystream(spec, key_bit_sets([None] * spec.lk), len(message))
+    for s, m, c in zip(stream, message, cipher):
+        at_step[max(s.mask.bit_length() - 1, 2)].append((s.mask, m ^ c))
+
+    def holds(j, key):
+        return all((mask & key).bit_count() & 1 == mc
+                   for mask, mc in at_step[j])
+
     for first_two in range(4):
         bits = [None] * spec.lk
         bits[0] = first_two & 1
         bits[1] = (first_two >> 1) & 1
+        key = first_two
+        ok = True  # every stream bit fixed before step j matches
         for j in range(2, spec.lk):
             bits[j] = 0
-            stream = lfsr_keystream(spec, key_bit_sets(bits), len(message))
-            ok = all((s ^ m).contains(c)
-                     for s, m, c in zip(stream, message, cipher))
-            if not ok:
+            if not (ok and holds(j, key)):
                 bits[j] = 1
+                key |= 1 << j
+                ok = ok and holds(j, key)
             if instrument is not None:
                 instrument(first_two, j, list(bits))
         if lfsr_encrypt(spec, bits, message) == cipher:

@@ -12,7 +12,6 @@ or table may hold (a joint set, a variable's set, a 2^p value table).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -23,7 +22,7 @@ from .binvec import BinaryMatrix, BinaryVector, Gate
 from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
 from .model import (_LZ_GATES, _PZ_MINK, _field, _matrix, _typed, _vector,
-                    load_model, parse_model)
+                    load_model, read_json)
 from .reach import reach, reach_report
 
 EXIT_OK = 0
@@ -48,7 +47,7 @@ def _resolve_model(spec_text):
         "fixtures", spec_text if spec_text.endswith(".json")
         else spec_text + ".json")
     if fixture.is_file():
-        return parse_model(json.loads(fixture.read_text())), str(fixture)
+        return load_model(fixture), str(fixture)
     raise ModelError(f"model file not found: {spec_text}")
 
 
@@ -100,9 +99,7 @@ def cmd_lfsr(args):
 
 
 def cmd_eval(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    _typed(doc, dict, "zonotope")
+    doc = _typed(read_json(args.input), dict, "zonotope")
     if "E" in doc:
         z = pz.PolyLogicalZonotope.from_json(doc)
         points = pz.pz_evaluate(z, cap=_cap())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binvec import BinaryMatrix, BinaryVector, bv_and, bv_not, bv_xor
+from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
 
@@ -43,7 +43,7 @@ def _check(a, b):
 
 def lz_xor(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     _check(a, b)
-    return LogicalZonotope(bv_xor(a.c, b.c), a.G.hstack(b.G))
+    return LogicalZonotope(bv_op(a.c, b.c, Gate.XOR), a.G.hstack(b.G))
 
 
 def lz_not(a: LogicalZonotope) -> LogicalZonotope:
@@ -57,7 +57,7 @@ def lz_xnor(a, b):
 def lz_and(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     """Over-approximating AND; the result contains every pointwise product."""
     _check(a, b)
-    return LogicalZonotope(bv_and(a.c, b.c), and_generators(a, b))
+    return LogicalZonotope(bv_op(a.c, b.c, Gate.AND), and_generators(a, b))
 
 
 def and_generators(a, b):
@@ -66,12 +66,12 @@ def and_generators(a, b):
     every pair of generators, a's outer."""
     cols = []
     for g in b.G.columns:
-        cols.append(bv_and(a.c, g))
+        cols.append(bv_op(a.c, g, Gate.AND))
     for g in a.G.columns:
-        cols.append(bv_and(b.c, g))
+        cols.append(bv_op(b.c, g, Gate.AND))
     for g1 in a.G.columns:
         for g2 in b.G.columns:
-            cols.append(bv_and(g1, g2))
+            cols.append(bv_op(g1, g2, Gate.AND))
     return BinaryMatrix(a.dim, tuple(cols))
 
 
@@ -93,7 +93,7 @@ def lz_enclose_points(points) -> LogicalZonotope:
     if not points:
         raise ValueError("at least one point required")
     c = points[0]
-    cols = [bv_xor(s, c) for s in points[1:]]
+    cols = [bv_op(s, c, Gate.XOR) for s in points[1:]]
     return LogicalZonotope(c, BinaryMatrix(c.dim, tuple(cols)))
 
 

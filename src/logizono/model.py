@@ -52,6 +52,8 @@ class GateExpr:
 
 
 _FUNC_GATES = {"NAND": Gate.NAND, "NOR": Gate.NOR, "XNOR": Gate.XNOR}
+# infix operators, loosest binding first
+_INFIX = (("|", Gate.OR), ("^", Gate.XOR), ("&", Gate.AND))
 
 # most nesting levels in an update: every walk over it stays far below the
 # interpreter's recursion limit
@@ -84,7 +86,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # open parse_unary calls, outside this one
@@ -104,31 +105,21 @@ class _Parser:
                              position=pos)
 
     def parse(self):
-        expr = self.parse_or()
+        expr = self.parse_infix()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ModelError(f"unexpected token {text!r}", position=pos)
         return expr
 
-    def parse_or(self):
-        left = self.parse_xor()
-        while self.peek()[1] == "|":
+    def parse_infix(self, level=0):
+        """A left-associative chain of the infix operators from level on."""
+        if level == len(_INFIX):
+            return self.parse_unary()
+        op, gate = _INFIX[level]
+        left = self.parse_infix(level + 1)
+        while self.peek()[1] == op:
             self.take()
-            left = GateExpr(Gate.OR, left, self.parse_xor())
-        return left
-
-    def parse_xor(self):
-        left = self.parse_and()
-        while self.peek()[1] == "^":
-            self.take()
-            left = GateExpr(Gate.XOR, left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_unary()
-        while self.peek()[1] == "&":
-            self.take()
-            left = GateExpr(Gate.AND, left, self.parse_unary())
+            left = GateExpr(gate, left, self.parse_infix(level + 1))
         return left
 
     def parse_unary(self):
@@ -149,7 +140,7 @@ class _Parser:
     def parse_atom(self):
         kind, text, pos = self.take()
         if text == "(":
-            expr = self.parse_or()
+            expr = self.parse_infix()
             self.expect(")")
             return expr
         if kind == "bits":
@@ -158,9 +149,9 @@ class _Parser:
             base = text.rstrip("'")
             if base.upper() in _FUNC_GATES and self.peek()[1] == "(":
                 self.take()
-                left = self.parse_or()
+                left = self.parse_infix()
                 self.expect(",")
-                right = self.parse_or()
+                right = self.parse_infix()
                 self.expect(")")
                 return GateExpr(_FUNC_GATES[base.upper()], left, right)
             return VarRef(base, primed=text.endswith("'"), pos=pos)
@@ -406,9 +397,17 @@ def parse_model(document) -> Model:
     return Model(tuple(states), tuple(inputs), updates, tuple(order))
 
 
-def load_model(path) -> Model:
+def read_json(path):
+    """The decoded JSON document in the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ModelError(f"{path}: nested too deeply to decode") from None
+
+
+def load_model(path) -> Model:
+    return parse_model(_typed(read_json(path), dict, "model"))
 
 
 # --- evaluation -------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .binvec import BinaryMatrix, BinaryVector, bv_and, bv_not, bv_xor
+from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
 from .logical import and_generators
@@ -127,7 +127,7 @@ def pz_mink_xor(a, b):
     cols = [BinaryVector(rows, col.bits) for col in a.E.columns]
     cols += [BinaryVector(rows, col.bits << p1) for col in b.E.columns]
     return PolyLogicalZonotope(
-        bv_xor(a.c, b.c), a.G.hstack(b.G),
+        bv_op(a.c, b.c, Gate.XOR), a.G.hstack(b.G),
         BinaryMatrix(rows, tuple(cols)), unique_id(rows))
 
 
@@ -146,7 +146,7 @@ def pz_mink_and(a, b):
         for c2 in b.E.columns:
             ecols.append(BinaryVector(rows, c1.bits | (c2.bits << p1)))
     return PolyLogicalZonotope(
-        bv_and(a.c, b.c), and_generators(a, b),
+        bv_op(a.c, b.c, Gate.AND), and_generators(a, b),
         BinaryMatrix(rows, tuple(ecols)), unique_id(rows))
 
 
@@ -173,7 +173,7 @@ def pz_mink_nor(a, b):
 def pz_exact_xor(a, b):
     a, b = merge_id(a, b)
     return PolyLogicalZonotope(
-        bv_xor(a.c, b.c), a.G.hstack(b.G), a.E.hstack(b.E), a.id)
+        bv_op(a.c, b.c, Gate.XOR), a.G.hstack(b.G), a.E.hstack(b.E), a.id)
 
 
 def pz_exact_and(a, b):
@@ -183,7 +183,7 @@ def pz_exact_and(a, b):
         for c2 in b.E.columns:
             ecols.append(BinaryVector(len(a.id), c1.bits | c2.bits))
     return PolyLogicalZonotope(
-        bv_and(a.c, b.c), and_generators(a, b),
+        bv_op(a.c, b.c, Gate.AND), and_generators(a, b),
         BinaryMatrix(len(a.id), tuple(ecols)), a.id)
 
 
@@ -209,7 +209,7 @@ def pz_enclose_points(points):
     if not points:
         raise ValueError("at least one point required")
     c = points[0]
-    gcols = tuple(bv_xor(s, c) for s in points[1:])
+    gcols = tuple(bv_op(s, c, Gate.XOR) for s in points[1:])
     k = len(gcols)
     ecols = tuple(BinaryVector(k, 1 << i) for i in range(k)) if k else ()
     return PolyLogicalZonotope(

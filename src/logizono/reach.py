@@ -221,10 +221,6 @@ def _explicit_set(var, values):
         BinaryVector(var.dim, v) for v in values))
 
 
-def _inputs_constant(model):
-    return all(v.constant for v in model.input_vars)
-
-
 def _reach_lane(model, horizon, algebra, mode, cap):
     if mode == "exact":
         state = _exact_initial(model, cap)
@@ -254,7 +250,7 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         # when every variable's set does
         same = (nxt == state if mode == "exact"
                 else records[-1].var_sets == records[-2].var_sets)
-        if same and _inputs_constant(model):
+        if same and all(v.constant for v in model.input_vars):
             fixpoint_at = k
             last = records[-1]
             for j in range(k + 1, horizon + 1):
@@ -290,16 +286,14 @@ _LANE_GATES = {
     Gate.XNOR: lambda a, b, m: a ^ b ^ m,
 }
 
-# the same gates as pointwise images, the operands ranging independently
-_SET_GATES = {
-    kind: (lambda op: lambda a, b, m: frozenset(
-        {op(x, y, m) for x in a for y in b}))(op)
-    for kind, op in _LANE_GATES.items()
-}
 
-
-def _masked(gates, m):
-    return {kind: partial(fn, m=m) for kind, fn in gates.items()}
+def _set_gates(m, cap, step):
+    """The gates as pointwise images over sets of ints; the image's bound,
+    min(a·b, m + 1) values, is checked against cap before it is built."""
+    def image(op, a, b):
+        check_cap("gate image", min(len(a) * len(b), m + 1), cap, step)
+        return frozenset({op(x, y, m) for x in a for y in b})
+    return {kind: partial(image, op) for kind, op in _LANE_GATES.items()}
 
 
 # --- logical lane -----------------------------------------------------------
@@ -334,7 +328,7 @@ def _minkowski_step(model, state, k, cap):
         env[name + "'"] = fold(model.updates[name], env,
                                lambda value: frozenset((value.bits,)),
                                lambda a: frozenset({x ^ m for x in a}),
-                               _masked(_SET_GATES, m))
+                               _set_gates(m, cap, k + 1))
     return {v.name: env[v.name + "'"] for v in model.state_vars}
 
 
@@ -376,7 +370,8 @@ def _exact_step(model, points, k, cap):
         env[var.name] = (packed >> off) & mask
         ops[var.name] = (lambda value: value.bits * ones,
                          partial(operator.xor, mask),
-                         _masked(_LANE_GATES, mask))
+                         {kind: partial(fn, m=mask)
+                          for kind, fn in _LANE_GATES.items()})
         placed.append((var.name + "'", off))
         off += var.dim
     names = [v.name for v in model.input_vars]

@@ -195,3 +195,50 @@ def test_recovery_input_validation():
         lfsr_recover_key(spec, [0, 1], [0])
     with pytest.raises(ValueError):
         lfsr_keystream(spec, [0] * 7)
+
+
+def reference_recover_key(spec, message, cipher, *, instrument):
+    """The per-bit search that re-clocks the register over key-bit sets for
+    every tentative bit, kept as the reference for lfsr_recover_key."""
+    for first_two in range(4):
+        bits = [None] * spec.lk
+        bits[0] = first_two & 1
+        bits[1] = (first_two >> 1) & 1
+        for j in range(2, spec.lk):
+            bits[j] = 0
+            stream = lfsr_keystream(spec, key_bit_sets(bits), len(message))
+            if not all((s ^ m).contains(c)
+                       for s, m, c in zip(stream, message, cipher)):
+                bits[j] = 1
+            instrument(first_two, j, list(bits))
+        if lfsr_encrypt(spec, bits, message) == cipher:
+            return BinaryVector.from_bits(bits)
+    raise SearchFailure("no key reproduces the ciphertext")
+
+
+def _search_outcome(search, spec, message, cipher):
+    calls = []
+    try:
+        result = search(spec, message, cipher,
+                        instrument=lambda *args: calls.append(args))
+    except SearchFailure:
+        result = SearchFailure
+    return result, calls
+
+
+def test_key_recovery_matches_per_bit_reference():
+    rng = random.Random(21)
+    specs = [LfsrSpec.scaled(rng.randint(8, 30)) for _ in range(24)]
+    # lm < lk leaves the key underdetermined; an output tap XORed with
+    # itself gives stream bits that depend on no key bit
+    specs += [LfsrSpec(), LfsrSpec(), LfsrSpec.scaled(16, lm=10),
+              LfsrSpec(10, default_taps(10), (10, 10), 20)]
+    for n, spec in enumerate(specs):
+        key = [rng.getrandbits(1) for _ in range(spec.lk)]
+        message = [rng.getrandbits(1) for _ in range(spec.lm)]
+        cipher = lfsr_encrypt(spec, key, message)
+        if n % 3 == 0:
+            cipher[rng.randrange(spec.lm)] ^= 1
+        want = _search_outcome(reference_recover_key, spec, message, cipher)
+        assert _search_outcome(lfsr_recover_key, spec, message,
+                               cipher) == want, spec

@@ -185,6 +185,11 @@ def test_selftest(capsys):
     ({"vars": [{"name": "x", "dim": 1, "init": ["0"]}],
       "updates": {"x": "(" * 300 + "x" + ")" * 300}},
      "updates.x: nested deeper than 100 levels at position 102"),
+    # a JSON string holding a model is not decoded a second time
+    pytest.param(json.dumps({"vars": [{"name": "x", "dim": 1, "init": ["0"]}],
+                             "updates": {"x": "!x"}}),
+                 "model: expected an object, found a string",
+                 id="doc6-json-string"),
 ])
 def test_reach_malformed_model_exits_usage(tmp_path, capsys, doc, message):
     path = tmp_path / "model.json"
@@ -214,6 +219,16 @@ def test_eval_malformed_zonotope_exits_usage(tmp_path, capsys, doc, message):
     assert rc == cli.EXIT_USAGE
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["reach", "--model"], ["eval", "--input"]])
+def test_deeply_nested_json_exits_usage(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    rc, out, err = run(capsys, argv + [str(path)])
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {path}: nested too deeply to decode\n"
 
 
 # --- fuzzing: any input file gives exit 0, 2 or 3 and never a traceback ------

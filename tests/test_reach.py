@@ -183,6 +183,23 @@ def test_logical_lane_checks_cap_before_enumerating():
     assert f"needs {2**dim} elements, over the cap of 10" in str(err.value)
 
 
+def test_minkowski_gate_checks_cap_before_building():
+    # 700 x 700 operand pairs of 30 bits: the image may hold 490000 values
+    bits = [format(v, "030b")
+            for v in random.Random(30).sample(range(2**30), 1400)]
+    model = parse_model({
+        "vars": [{"name": "x", "role": "state", "dim": 30,
+                  "init": bits[:700]},
+                 {"name": "u", "role": "input", "dim": 30,
+                  "set": bits[700:]}],
+        "updates": {"x": "x ^ u"},
+    })
+    with pytest.raises(CapacityError) as err:
+        reach(model, 1, "poly", "minkowski", cap=1000)
+    assert err.value.step == 1
+    assert "gate image at step 1 needs 490000 elements" in str(err.value)
+
+
 def test_negative_steps_rejected():
     with pytest.raises(ModelError):
         reach(identity_model(), [1, -1], "logical")
