@@ -79,27 +79,23 @@ class BinaryVector:
         return self.bits == 0
 
 
+# the gates over packed ints, one bitwise operation each; m is the all-ones
+# mask of the operands' width (in every lane, when an int packs many lanes)
+INT_GATES = {
+    Gate.AND: lambda a, b, m: a & b,
+    Gate.XOR: lambda a, b, m: a ^ b,
+    Gate.OR: lambda a, b, m: a | b,
+    Gate.NAND: lambda a, b, m: (a & b) ^ m,
+    Gate.NOR: lambda a, b, m: (a | b) ^ m,
+    Gate.XNOR: lambda a, b, m: a ^ b ^ m,
+}
+
+
 def bv_op(a: BinaryVector, b: BinaryVector, gate: Gate) -> BinaryVector:
     """Apply a two-input gate elementwise."""
     if a.dim != b.dim:
         raise DimensionError(f"dim {a.dim} vs {b.dim}")
-    m = _mask(a.dim)
-    x, y = a.bits, b.bits
-    if gate is Gate.XOR:
-        r = x ^ y
-    elif gate is Gate.AND:
-        r = x & y
-    elif gate is Gate.OR:
-        r = x | y
-    elif gate is Gate.XNOR:
-        r = ~(x ^ y) & m
-    elif gate is Gate.NAND:
-        r = ~(x & y) & m
-    elif gate is Gate.NOR:
-        r = ~(x | y) & m
-    else:
-        raise ValueError(gate)
-    return BinaryVector(a.dim, r)
+    return BinaryVector(a.dim, INT_GATES[gate](a.bits, b.bits, _mask(a.dim)))
 
 
 def bv_not(a: BinaryVector) -> BinaryVector:

@@ -104,6 +104,8 @@ class LfsrSpec:
     lm: int = 120
 
     def __post_init__(self):
+        if self.lk < 2:
+            raise ValueError(f"register length {self.lk}: at least 2 cells")
         if not self.out_taps:
             raise ValueError("output taps must be non-empty")
         for t in self.taps + self.out_taps:

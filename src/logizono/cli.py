@@ -127,15 +127,15 @@ def cmd_selftest(args):
             want = ex.set_minkowski(pz.pz_evaluate(a), pz.pz_evaluate(b),
                                     gate)
             got = pz.pz_evaluate(_PZ_MINK[gate](a, b))
-            if got.points != want.points:
+            if got != want:
                 failures += 1
             lwant = ex.set_minkowski(lz.lz_evaluate(la), lz.lz_evaluate(lb),
                                      gate)
             lgot = lz.lz_evaluate(_LZ_GATES[gate](la, lb))
             if gate in exact_gates:
-                if lgot.points != lwant.points:
+                if lgot != lwant:
                     failures += 1
-            elif not lwant.points <= lgot.points:
+            elif not lwant.bits <= lgot.bits:
                 failures += 1
     print(f"selftest trials={args.trials} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_FAIL

@@ -9,27 +9,50 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .binvec import BinaryVector, Gate, bv_not, bv_op
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExplicitSet:
-    dim: int
-    points: frozenset
+    """A non-empty set of dim-bit vectors, held as the frozenset of their
+    packed ints. .points, the set of BinaryVectors, is built on first read
+    through the public BinaryVector constructor, then kept."""
 
-    def __post_init__(self):
-        if not self.points:
+    dim: int
+    bits: frozenset
+
+    def __init__(self, dim, points):
+        points = frozenset(points)
+        if any(p.dim != dim for p in points):
+            raise DimensionError("point dimension mismatch")
+        self._set(dim, frozenset(p.bits for p in points))
+        self.__dict__["points"] = points
+
+    @classmethod
+    def from_bits(cls, dim, bits):
+        """The set of the given packed ints, for the engine: .points checks
+        each one against dim when it builds its vector."""
+        s = cls.__new__(cls)
+        s._set(dim, frozenset(bits))
+        return s
+
+    def _set(self, dim, bits):
+        if not bits:
             raise ValueError("explicit set must be non-empty")
-        for p in self.points:
-            if p.dim != self.dim:
-                raise DimensionError("point dimension mismatch")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bits", bits)
+
+    @cached_property
+    def points(self):
+        return frozenset(BinaryVector(self.dim, b) for b in self.bits)
 
     @staticmethod
     def from_points(points):
         points = list(points)
-        return ExplicitSet(points[0].dim, frozenset(points))
+        return ExplicitSet(points[0].dim if points else 0, points)
 
     @staticmethod
     def from_strings(texts):
@@ -37,13 +60,14 @@ class ExplicitSet:
 
     @staticmethod
     def singleton(point):
-        return ExplicitSet(point.dim, frozenset((point,)))
+        return ExplicitSet(point.dim, (point,))
 
     def __len__(self):
-        return len(self.points)
+        return len(self.bits)
 
     def __contains__(self, point):
-        return point in self.points
+        return (isinstance(point, BinaryVector) and point.dim == self.dim
+                and point.bits in self.bits)
 
     def __iter__(self):
         return iter(sorted(self.points, key=lambda p: p.bits))
@@ -56,14 +80,12 @@ def set_minkowski(a: ExplicitSet, b: ExplicitSet, gate: Gate) -> ExplicitSet:
     """Pointwise image of a two-input gate over all operand pairs."""
     if a.dim != b.dim:
         raise DimensionError(f"dim {a.dim} vs {b.dim}")
-    return ExplicitSet(
-        a.dim,
-        frozenset(bv_op(x, y, gate) for x in a.points for y in b.points),
-    )
+    return ExplicitSet(a.dim, (bv_op(x, y, gate)
+                               for x in a.points for y in b.points))
 
 
 def set_not(a: ExplicitSet) -> ExplicitSet:
-    return ExplicitSet(a.dim, frozenset(bv_not(p) for p in a.points))
+    return ExplicitSet(a.dim, (bv_not(p) for p in a.points))
 
 
 def reach_explicit(model, steps, *, break_next_state_deps=False,
@@ -119,7 +141,6 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
     for k in range(steps):
         input_sets = [model.input_set(v, k) for v in model.input_vars]
         seen = set()
-        points = []
         if break_next_state_deps:
             next_sets = _next_value_sets(model, result[-1], input_sets, split)
         for state in result[-1].points:
@@ -131,7 +152,7 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
                 if break_next_state_deps:
                     for vecs in _independent_primed(model, env, primed_refs,
                                                     next_sets):
-                        _record(vecs, joint, seen, points, cap, k)
+                        _record(vecs, joint, seen, cap, k)
                 else:
                     for name in order:
                         env[name + "'"] = eval_concrete(model.updates[name],
@@ -139,17 +160,16 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
                     # the joint vector follows declaration order, not the
                     # evaluation order
                     _record([env[name + "'"] for name in names], joint,
-                            seen, points, cap, k)
-        result.append(ExplicitSet.from_points(points))
+                            seen, cap, k)
+        result.append(ExplicitSet.from_points(seen))
     return result
 
 
-def _record(vecs, joint, seen, points, cap, step):
+def _record(vecs, joint, seen, cap, step):
     v = joint(vecs)
     if v not in seen:
         check_cap("joint set", len(seen) + 1, cap, step=step + 1)
         seen.add(v)
-        points.append(v)
 
 
 def _next_value_sets(model, reached, input_sets, split):

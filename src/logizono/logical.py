@@ -105,35 +105,28 @@ def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
     points, and more than cap points raise CapacityError before any is
     built.
     """
-    r = lz_reduce(a)
-    check_cap("logical zonotope set", 1 << r.gamma, cap)
+    basis = _basis(a)
+    check_cap("logical zonotope set", 1 << len(basis), cap)
     points = {a.c.bits}
-    for g in r.G.columns:
-        points |= {x ^ g.bits for x in points}
-    return ExplicitSet(a.dim, frozenset(
-        BinaryVector(a.dim, x) for x in points))
+    for g in basis:
+        points |= {x ^ g for x in points}
+    return ExplicitSet.from_bits(a.dim, points)
 
 
 def lz_contains(a: LogicalZonotope, point: BinaryVector) -> bool:
     if a.dim != point.dim:
         raise DimensionError(f"dim {a.dim} vs {point.dim}")
     # point is in the set iff point xor c lies in the span of the generators
-    r = lz_reduce(a)
     x = point.bits ^ a.c.bits
-    for g in r.G.columns:
-        x = min(x, x ^ g.bits)
+    for g in _basis(a):
+        x = min(x, x ^ g)
     return x == 0
 
 
 def lz_compact(a: LogicalZonotope) -> LogicalZonotope:
     """Drop all-zero generator columns and duplicate columns."""
-    seen = set()
-    cols = []
-    for g in a.G.columns:
-        if g.bits and g.bits not in seen:
-            seen.add(g.bits)
-            cols.append(g)
-    return LogicalZonotope(a.c, BinaryMatrix(a.dim, tuple(cols)))
+    cols = {g.bits: g for g in a.G.columns if g.bits}  # in first-seen order
+    return LogicalZonotope(a.c, BinaryMatrix(a.dim, tuple(cols.values())))
 
 
 def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
@@ -144,6 +137,13 @@ def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
     center, so this preserves the set exactly while bounding the
     generator count by the dimension.
     """
+    cols = tuple(BinaryVector(a.dim, b) for b in _basis(a))
+    return LogicalZonotope(a.c, BinaryMatrix(a.dim, cols))
+
+
+def _basis(a):
+    """An independent basis of the span of a's generators, as packed ints,
+    largest first."""
     basis = []
     for g in a.G.columns:
         x = g.bits
@@ -152,5 +152,4 @@ def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
         if x:
             basis.append(x)
             basis.sort(reverse=True)
-    cols = tuple(BinaryVector(a.dim, b) for b in basis)
-    return LogicalZonotope(a.c, BinaryMatrix(a.dim, cols))
+    return basis

@@ -485,12 +485,7 @@ def _eval_explicit(expr, env):
     import itertools
 
     keys = sorted({r.key for r in expr_refs(expr)})
-    sets = []
-    for k in keys:
-        s = env[k]
-        sets.append(list(s.points) if isinstance(s, ex.ExplicitSet) else list(s))
-    points = set()
-    for combo in itertools.product(*sets):
-        cenv = dict(zip(keys, combo))
-        points.add(eval_concrete(expr, cenv))
-    return ex.ExplicitSet.from_points(points)
+    sets = [list(env[k]) for k in keys]  # ExplicitSets or point lists
+    return ex.ExplicitSet.from_points(
+        eval_concrete(expr, dict(zip(keys, combo)))
+        for combo in itertools.product(*sets))

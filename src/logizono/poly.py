@@ -259,21 +259,19 @@ def pz_evaluate(a, cap=DEFAULT_CAP) -> ExplicitSet:
     entries; a table of more than cap entries raises CapacityError
     before it is built."""
     check_cap("polynomial zonotope value table", 1 << a.p, cap)
-    table = value_table(a)
-    return ExplicitSet(a.dim, frozenset(
-        BinaryVector(a.dim, bits) for bits in set(table)))
+    return ExplicitSet.from_bits(a.dim, value_table(a))
 
 
 def pz_contains(a, point, cap=DEFAULT_CAP):
     if a.dim != point.dim:
         raise DimensionError(f"dim {a.dim} vs {point.dim}")
-    return point in pz_evaluate(a, cap=cap).points
+    return point in pz_evaluate(a, cap=cap)
 
 
 def pz_simplify(a, cap=DEFAULT_CAP):
     """Greedily drop generators whose removal keeps the same point set,
     then drop identifier rows no remaining generator uses."""
-    target = pz_evaluate(a, cap=cap).points
+    target = pz_evaluate(a, cap=cap)
     gcols = list(a.G.columns)
     ecols = list(a.E.columns)
     i = 0
@@ -283,7 +281,7 @@ def pz_simplify(a, cap=DEFAULT_CAP):
             BinaryMatrix(a.dim, tuple(gcols[:i] + gcols[i + 1:])),
             BinaryMatrix(a.p, tuple(ecols[:i] + ecols[i + 1:])),
             a.id)
-        if pz_evaluate(trial, cap=cap).points == target:
+        if pz_evaluate(trial, cap=cap) == target:
             del gcols[i]
             del ecols[i]
         else:
@@ -298,16 +296,11 @@ def pz_compact(a):
     """Cheap reduction preserving eval_at for every assignment: drop zero
     generators, XOR-merge generators with identical exponent columns, and
     drop identifier rows that gate nothing."""
-    merged = {}
-    order = []
+    merged = {}  # exponent column -> XOR of its generators, in first order
     for g, e in zip(a.G.columns, a.E.columns):
-        if e.bits in merged:
-            merged[e.bits] ^= g.bits
-        else:
-            merged[e.bits] = g.bits
-            order.append(e.bits)
-    gcols = [BinaryVector(a.dim, merged[e]) for e in order if merged[e]]
-    ecols = [BinaryVector(a.p, e) for e in order if merged[e]]
+        merged[e.bits] = merged.get(e.bits, 0) ^ g.bits
+    gcols = [BinaryVector(a.dim, g) for g in merged.values() if g]
+    ecols = [BinaryVector(a.p, e) for e, g in merged.items() if g]
     out = PolyLogicalZonotope(
         a.c, BinaryMatrix(a.dim, tuple(gcols)),
         BinaryMatrix(a.p, tuple(ecols)), a.id)

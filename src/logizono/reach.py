@@ -3,8 +3,10 @@
 Each step evaluates every update in model.order against the step's input
 sets (a primed reference reads the next-state value computed earlier in
 the same step) and records per-variable sets plus the joint size, the
-number of distinct concatenated state vectors. What each lane carries
-from one step to the next:
+number of distinct concatenated state vectors. The recorded sets hold
+packed ints; an ExplicitSet builds its .points, the BinaryVectors, only
+when they are first read. What each lane carries from one step to the
+next:
 
 - explicit: the oracle (explicit.reach_explicit) enumerates every
   (state, input) sample.
@@ -18,12 +20,13 @@ from one step to the next:
   compute. The variables vary independently, so the joint size is the
   product of the set sizes; pz_encode_points(record.var_sets[name].points)
   gives a variable's polynomial logical zonotope.
-- poly, exact: the set of reached joint vectors. A step packs them into
-  one big int, one fixed-width lane per vector, and applies each gate to
-  all lanes with one bitwise operation, once per combination of input
-  values. This is the set the exact pz_* gates compute, without their
-  generator products; pz_encode_points(record.joint_set.points) gives the
-  step's polynomial logical zonotope.
+- poly, exact: the set of reached joint vectors, packed into one big int,
+  one fixed-width lane per vector. A step applies each gate to all lanes
+  with one bitwise operation, once per combination of input values; the
+  record splits each variable's set off the same int by shift and mask.
+  This is the set the exact pz_* gates compute, without their generator
+  products; pz_encode_points(record.joint_set.points) gives the step's
+  polynomial logical zonotope.
 
 When every recorded set repeats (the joint set, on the exact lane) and
 the inputs are the same every step, the run has hit a fixpoint and the
@@ -44,7 +47,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 
-from .binvec import BinaryVector, Gate
+from .binvec import INT_GATES
 from .errors import DEFAULT_CAP, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
@@ -57,10 +60,10 @@ ALGEBRAS = ("explicit", "logical", "poly")
 @dataclass(frozen=True)
 class StepRecord:
     step: int
-    var_sets: dict  # name -> ExplicitSet
+    var_sets: dict  # name -> ExplicitSet of ints, .points built on demand
     joint_size: int
     wall_time: float
-    joint_set: object = None  # ExplicitSet when the lane tracks it exactly
+    joint_set: object = None  # the same, of joint vectors, on exact lanes
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,8 @@ def poly_joint_set(state, cap=DEFAULT_CAP):
         placed = _component_vectors(state, comp, cap)
         check_cap("joint set", len(vectors) * len(placed), cap)
         vectors = [v | q for v in vectors for q in placed]
-    dim = sum(z.dim for z in state.values())
-    return ex.ExplicitSet(dim, frozenset(
-        BinaryVector(dim, v) for v in set(vectors)))
+    return ex.ExplicitSet.from_bits(sum(z.dim for z in state.values()),
+                                    vectors)
 
 
 def joint_size(state, algebra, cap=DEFAULT_CAP):
@@ -193,32 +195,13 @@ def _reach_explicit(model, horizon, break_deps, cap):
     joints = ex.reach_explicit(model, horizon,
                                break_next_state_deps=break_deps, cap=cap)
     elapsed = time.perf_counter() - t0
-    records = []
-    for k, joint in enumerate(joints):
-        # the oracle runs in one pass; the run's total time is reported
-        # on every step past 0
-        points = [p.bits for p in joint.points]
-        records.append(StepRecord(k, _projections(model, points), len(joint),
-                                  elapsed if k else 0.0, joint))
+    nbytes = _lane_bytes(model)
+    # the oracle runs in one pass; the run's total time is reported on
+    # every step past 0
+    records = [_exact_record(model, (joint, _pack(joint.bits, nbytes)), k,
+                             elapsed if k else 0.0, cap)
+               for k, joint in enumerate(joints)]
     return ReachResult("explicit", "minkowski", tuple(records))
-
-
-def _projections(model, points):
-    """Per-variable sets of a joint set given as packed ints."""
-    out = {}
-    off = 0
-    for var in model.state_vars:
-        mask = (1 << var.dim) - 1
-        out[var.name] = _explicit_set(var, {(p >> off) & mask
-                                            for p in points})
-        off += var.dim
-    return out
-
-
-def _explicit_set(var, values):
-    """The ExplicitSet of var's values given as packed ints."""
-    return ex.ExplicitSet(var.dim, frozenset(
-        BinaryVector(var.dim, v) for v in values))
 
 
 def _reach_lane(model, horizon, algebra, mode, cap):
@@ -236,7 +219,8 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         state = {v.name: frozenset(p.bits for p in v.init)
                  for v in model.state_vars}
         step = _minkowski_step
-        record = partial(_product_record, len, _explicit_set)
+        record = partial(_product_record, len, lambda var, values:
+                         ex.ExplicitSet.from_bits(var.dim, values))
     records = [record(model, state, 0, 0.0, cap)]
     fixpoint_at = -1
     k = 0
@@ -246,13 +230,13 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         elapsed = time.perf_counter() - t0
         k += 1
         records.append(record(model, nxt, k, elapsed, cap))
-        # the exact state is the joint set itself; the other lanes repeat
-        # when every variable's set does
-        same = (nxt == state if mode == "exact"
-                else records[-1].var_sets == records[-2].var_sets)
+        # the exact lane repeats when its joint set does, the other lanes
+        # (joint_set None) when every variable's set does
+        last, prev = records[-1], records[-2]
+        same = ((last.joint_set, last.var_sets)
+                == (prev.joint_set, prev.var_sets))
         if same and all(v.constant for v in model.input_vars):
             fixpoint_at = k
-            last = records[-1]
             for j in range(k + 1, horizon + 1):
                 records.append(StepRecord(j, last.var_sets, last.joint_size,
                                           0.0, last.joint_set))
@@ -273,19 +257,7 @@ def _product_record(size, expand, model, state, step, elapsed, cap):
     return StepRecord(step, var_sets, total, elapsed)
 
 
-# --- gates over ints and over sets of ints ---------------------------------
-
-# one bitwise operation per gate; m is the updated variable's all-ones
-# mask (in every lane, on the exact lane)
-_LANE_GATES = {
-    Gate.AND: lambda a, b, m: a & b,
-    Gate.XOR: lambda a, b, m: a ^ b,
-    Gate.OR: lambda a, b, m: a | b,
-    Gate.NAND: lambda a, b, m: (a & b) ^ m,
-    Gate.NOR: lambda a, b, m: (a | b) ^ m,
-    Gate.XNOR: lambda a, b, m: a ^ b ^ m,
-}
-
+# --- gates over sets of ints -----------------------------------------------
 
 def _set_gates(m, cap, step):
     """The gates as pointwise images over sets of ints; the image's bound,
@@ -293,7 +265,7 @@ def _set_gates(m, cap, step):
     def image(op, a, b):
         check_cap("gate image", min(len(a) * len(b), m + 1), cap, step)
         return frozenset({op(x, y, m) for x in a for y in b})
-    return {kind: partial(image, op) for kind, op in _LANE_GATES.items()}
+    return {kind: partial(image, op) for kind, op in INT_GATES.items()}
 
 
 # --- logical lane -----------------------------------------------------------
@@ -333,9 +305,24 @@ def _minkowski_step(model, state, k, cap):
 
 
 # --- poly exact lane: joint vectors as ints in model.state_vars order -------
+# The state is (joint, packed): the ExplicitSet of reached joint vectors,
+# and the same vectors packed into one int, one fixed-width lane each,
+# which both the step and the record read.
 
 _ORDER = sys.byteorder
 _WORD = array("Q").itemsize
+
+
+def _lane_bytes(model):
+    """Bytes per lane: one machine word, or what the joint width needs."""
+    width = sum(v.dim for v in model.state_vars)
+    return _WORD if width <= 8 * _WORD else (width + 7) // 8
+
+
+def _exact_state(model, points):
+    joint = ex.ExplicitSet.from_bits(sum(v.dim for v in model.state_vars),
+                                     points)
+    return joint, _pack(joint.bits, _lane_bytes(model))
 
 
 def _exact_initial(model, cap):
@@ -346,21 +333,20 @@ def _exact_initial(model, cap):
     for var, values in zip(model.state_vars, inits):
         points = [q | (v << off) for q in points for v in values]
         off += var.dim
-    return set(points)
+    return _exact_state(model, points)
 
 
-def _exact_step(model, points, k, cap):
-    """The joint states one step after points.
+def _exact_step(model, state, k, cap):
+    """The exact-lane state one step after state.
 
     The updates are folded once per combination of input values, each
     input value replicated into every lane, so no table holds more than
-    len(points) lanes.
+    len(joint) lanes.
     """
-    width = sum(v.dim for v in model.state_vars)
-    nbytes = _WORD if width <= 8 * _WORD else (width + 7) // 8
-    lanes = list(points)
-    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * len(lanes), _ORDER)
-    packed = _pack(lanes, nbytes)
+    joint, packed = state
+    count, nbytes = len(joint), _lane_bytes(model)
+    # a 1 at the bottom of every lane
+    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
     env = {}
     ops = {}  # name -> fold's const, not_ and gates for its update
     placed = []  # (primed name, offset in the joint vector)
@@ -371,7 +357,7 @@ def _exact_step(model, points, k, cap):
         ops[var.name] = (lambda value: value.bits * ones,
                          partial(operator.xor, mask),
                          {kind: partial(fn, m=mask)
-                          for kind, fn in _LANE_GATES.items()})
+                          for kind, fn in INT_GATES.items()})
         placed.append((var.name + "'", off))
         off += var.dim
     names = [v.name for v in model.input_vars]
@@ -383,12 +369,12 @@ def _exact_step(model, points, k, cap):
         env.update(zip(names, combo))
         for name in model.order:
             env[name + "'"] = fold(model.updates[name], env, *ops[name])
-        joint = 0
+        nxt = 0
         for key, off in placed:
-            joint |= env[key] << off
-        out.update(_unpack(joint, len(lanes), nbytes))
+            nxt |= env[key] << off
+        out.update(_unpack(nxt, count, nbytes))
         check_cap("joint set", len(out), cap, step=k + 1)
-    return out
+    return _exact_state(model, out)
 
 
 def _pack(lanes, nbytes):
@@ -407,12 +393,20 @@ def _unpack(packed, count, nbytes):
             for i in range(0, len(data), nbytes)]
 
 
-def _exact_record(model, points, step, elapsed, cap):
-    width = sum(v.dim for v in model.state_vars)
-    joint = ex.ExplicitSet(width, frozenset(
-        BinaryVector(width, p) for p in points))
-    return StepRecord(step, _projections(model, points), len(points),
-                      elapsed, joint)
+def _exact_record(model, state, step, elapsed, cap):
+    """Record of an exact-lane state: one shift and mask over all lanes of
+    packed splits off each variable's set."""
+    joint, packed = state
+    count, nbytes = len(joint), _lane_bytes(model)
+    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
+    var_sets = {}
+    off = 0
+    for var in model.state_vars:
+        lanes = (packed >> off) & (((1 << var.dim) - 1) * ones)
+        var_sets[var.name] = ex.ExplicitSet.from_bits(
+            var.dim, _unpack(lanes, count, nbytes))
+        off += var.dim
+    return StepRecord(step, var_sets, count, elapsed, joint)
 
 
 # --- reporting --------------------------------------------------------------

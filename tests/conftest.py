@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from logizono.binvec import BinaryMatrix, BinaryVector
@@ -9,6 +10,20 @@ from logizono.poly import PolyLogicalZonotope, unique_id
 
 def bv(n, bits):
     return BinaryVector(n, bits)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A one-item list holding the count of BinaryVectors built since."""
+    count = [0]
+    post_init = BinaryVector.__post_init__
+
+    def counted(vec):
+        count[0] += 1
+        post_init(vec)
+
+    monkeypatch.setattr(BinaryVector, "__post_init__", counted)
+    return count
 
 
 @st.composite

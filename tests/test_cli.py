@@ -155,6 +155,19 @@ def test_lfsr_key_hex(capsys):
     assert "key=0xBEEF" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lk", "1", "--taps", "1", "--out-taps", "1"],
+    ["--lk", "1"],
+    ["--lk", "0", "--taps", "1", "--out-taps", "1"],
+])
+def test_lfsr_short_register_exits_usage(capsys, argv):
+    rc, out, err = run(capsys, ["lfsr", *argv])
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: register length ")
+    assert "at least 2 cells" in err
+
+
 def test_lfsr_search_failure_maps_to_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SearchFailure("no key")

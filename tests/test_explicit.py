@@ -33,6 +33,61 @@ def test_not_pointwise():
     assert set_not(eset("00")).points == eset("11").points
 
 
+def test_int_backed_set_equals_vector_built_set():
+    vectors = ExplicitSet(3, frozenset(BinaryVector(3, b) for b in (5, 0, 3)))
+    ints = ExplicitSet.from_bits(3, [3, 5, 0])
+    assert ints == vectors and hash(ints) == hash(vectors)
+    assert {vectors: "found"}[ints] == "found"
+    assert ints.bits == vectors.bits == frozenset({0, 3, 5})
+    assert ints != ExplicitSet.from_bits(4, [0, 3, 5])
+    assert ints != ExplicitSet.from_bits(3, [0, 3])
+
+
+def test_int_backed_set_len_membership_and_order():
+    vectors = ExplicitSet(3, frozenset(BinaryVector(3, b) for b in (5, 0, 3)))
+    ints = ExplicitSet.from_bits(3, [3, 5, 0])
+    assert len(ints) == len(vectors) == 3
+    for b in range(8):
+        assert (BinaryVector(3, b) in ints) == (BinaryVector(3, b) in vectors)
+    assert BinaryVector(4, 5) not in ints
+    assert "101" not in ints
+    assert list(ints) == list(vectors) == [BinaryVector(3, b)
+                                          for b in (0, 3, 5)]
+    assert ints.to_strings() == ["000", "110", "101"]
+
+
+def test_points_built_on_first_read_then_cached(built):
+    s = ExplicitSet.from_bits(4, range(10))
+    assert built[0] == 0
+    first = s.points
+    assert built[0] == 10
+    assert s.points is first
+    assert built[0] == 10
+    assert first == frozenset(BinaryVector(4, b) for b in range(10))
+
+
+def test_points_check_each_value_against_the_width():
+    s = ExplicitSet.from_bits(2, [1, 4])
+    with pytest.raises(ValueError, match="outside the declared dimension"):
+        s.points
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(DimensionError):
+        ExplicitSet(2, frozenset({BinaryVector(2, 1), BinaryVector(3, 1)}))
+    for make in (lambda: ExplicitSet(2, frozenset()),
+                 lambda: ExplicitSet.from_bits(2, [])):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            make()
+
+
+@pytest.mark.parametrize("make", [ExplicitSet.from_points,
+                                  ExplicitSet.from_strings])
+def test_empty_input_is_rejected_by_name(make):
+    with pytest.raises(ValueError, match="explicit set must be non-empty"):
+        make([])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         set_minkowski(eset("0"), eset("00"), Gate.XOR)

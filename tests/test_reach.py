@@ -5,7 +5,9 @@ import random
 import pytest
 
 from logizono import explicit as ex
+from logizono import logical as lz
 from logizono.binvec import BinaryMatrix, BinaryVector
+from logizono.cases import intersection_model
 from logizono.errors import CapacityError, ModelError
 from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
@@ -391,3 +393,40 @@ def test_minkowski_lane_composes_pointwise_images():
                                     for v in model.state_vars}
             assert got.joint_size == math.prod(
                 len(s) for s in got.var_sets.values())
+
+
+@pytest.mark.parametrize("mode", ["exact", "minkowski"])
+def test_poly_lanes_build_vectors_only_when_points_are_read(built, mode):
+    model = intersection_model()
+    built[0] = 0  # parsing the model builds its literal vectors
+    got = reach(model, 5, "poly", mode)
+    assert built[0] == 0
+    oracle = reach(model, 5, "explicit")
+    for k in range(6):
+        truth, rec = oracle.record(k), got.record(k)
+        if mode == "exact":
+            assert rec.joint_set.points == truth.joint_set.points
+        for name, s in truth.var_sets.items():
+            assert s.points <= rec.var_sets[name].points
+
+
+def test_logical_records_build_no_vectors(built, monkeypatch):
+    # the logical gates still build generator columns as BinaryVectors;
+    # enumerating each reduced zonotope for the record builds none
+    per_record = []
+    evaluate = lz.lz_evaluate
+
+    def counted(z, cap):
+        before = built[0]
+        out = evaluate(z, cap)
+        per_record.append(built[0] - before)
+        return out
+
+    monkeypatch.setattr(lz, "lz_evaluate", counted)
+    model = intersection_model()
+    got = reach(model, 5, "logical")
+    assert per_record and not any(per_record)
+    oracle = reach(model, 5, "explicit")
+    for k in range(6):
+        for name, s in oracle.record(k).var_sets.items():
+            assert s.points <= got.record(k).var_sets[name].points
