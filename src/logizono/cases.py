@@ -106,6 +106,8 @@ class LfsrSpec:
     def __post_init__(self):
         if self.lk < 2:
             raise ValueError(f"register length {self.lk}: at least 2 cells")
+        if self.lm < 1:
+            raise ValueError(f"message length {self.lm}: at least 1 bit")
         if not self.out_taps:
             raise ValueError("output taps must be non-empty")
         for t in self.taps + self.out_taps:

@@ -34,10 +34,12 @@ EXIT_SEARCH = 4
 
 def _cap(flag=None):
     """The capacity budget: --cap, else LOGIZONO_CAP, else DEFAULT_CAP."""
-    if flag is not None:
-        return flag
-    text = os.environ.get("LOGIZONO_CAP")
-    return int(text) if text else DEFAULT_CAP
+    if flag is None:
+        text = os.environ.get("LOGIZONO_CAP")
+        flag = int(text) if text else DEFAULT_CAP
+    if flag < 1:
+        raise ModelError(f"cap {flag}: must be at least 1")
+    return flag
 
 
 def _resolve_model(spec_text):
@@ -74,10 +76,12 @@ def cmd_lfsr(args):
             if args.taps else cases.default_taps(lk))
     out_taps = (tuple(int(t) for t in args.out_taps.split(","))
                 if args.out_taps else (lk, lk - 1))
-    lm = args.lm if args.lm else 2 * lk
+    lm = args.lm if args.lm is not None else 2 * lk
     spec = cases.LfsrSpec(lk, taps, out_taps, lm)
     if args.key_hex:
         value = int(args.key_hex, 16)
+        if not 0 <= value < 1 << lk:
+            raise ValueError(f"key {args.key_hex}: does not fit {lk} bits")
         key = [(value >> (lk - 1 - i)) & 1 for i in range(lk)]
     else:
         key = [rng.getrandbits(1) for _ in range(lk)]

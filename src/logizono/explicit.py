@@ -108,7 +108,6 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
     from .model import eval_concrete, next_state_refs
 
     names = [v.name for v in model.state_vars]
-    dims = [v.dim for v in model.state_vars]
     order = model.order
 
     def joint(vecs):
@@ -118,14 +117,6 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
             bits |= v.bits << off
             off += v.dim
         return BinaryVector(off, bits)
-
-    def split(v):
-        out = {}
-        off = 0
-        for name, d in zip(names, dims):
-            out[name] = BinaryVector(d, (v.bits >> off) & ((1 << d) - 1))
-            off += d
-        return out
 
     sizes = [len(set(v.init)) for v in model.state_vars]
     check_cap("joint set", math.prod(sizes), cap, step=0)
@@ -142,9 +133,9 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
         input_sets = [model.input_set(v, k) for v in model.input_vars]
         seen = set()
         if break_next_state_deps:
-            next_sets = _next_value_sets(model, result[-1], input_sets, split)
+            next_sets = _next_value_sets(model, result[-1], input_sets)
         for state in result[-1].points:
-            env_base = split(state)
+            env_base = split_joint(model, state)
             for sample in itertools.product(*input_sets):
                 env = dict(env_base)
                 for var, val in zip(model.input_vars, sample):
@@ -165,6 +156,17 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
     return result
 
 
+def split_joint(model, v):
+    """The state variables' vectors in joint vector v, by name."""
+    out = {}
+    off = 0
+    for var in model.state_vars:
+        out[var.name] = BinaryVector(var.dim,
+                                     (v.bits >> off) & ((1 << var.dim) - 1))
+        off += var.dim
+    return out
+
+
 def _record(vecs, joint, seen, cap, step):
     v = joint(vecs)
     if v not in seen:
@@ -172,13 +174,13 @@ def _record(vecs, joint, seen, cap, step):
         seen.add(v)
 
 
-def _next_value_sets(model, reached, input_sets, split):
+def _next_value_sets(model, reached, input_sets):
     """Per-variable sets of possible next values, dependency-preserving."""
     from .model import eval_concrete
 
     out = {name: set() for name in model.order}
     for state in reached.points:
-        env_base = split(state)
+        env_base = split_joint(model, state)
         for sample in itertools.product(*input_sets):
             env = dict(env_base)
             for var, val in zip(model.input_vars, sample):

@@ -17,9 +17,12 @@ next:
 - poly, minkowski: one set of values, as ints, per variable. A step
   folds each update over those sets: a gate is its pointwise image with
   the operands ranging independently, which is what the pz_mink_* gates
-  compute. The variables vary independently, so the joint size is the
-  product of the set sizes; pz_encode_points(record.var_sets[name].points)
-  gives a variable's polynomial logical zonotope.
+  compute. The image is built per value of the smaller operand and stops
+  once it holds every value of its width; by De Morgan each gate is an
+  AND, OR or XOR image of the operands or their complements. The
+  variables vary independently, so the joint size is the product of the
+  set sizes; pz_encode_points(record.var_sets[name].points) gives a
+  variable's polynomial logical zonotope.
 - poly, exact: the set of reached joint vectors, packed into one big int,
   one fixed-width lane per vector. A step applies each gate to all lanes
   with one bitwise operation, once per combination of input values; the
@@ -47,7 +50,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 
-from .binvec import INT_GATES
+from .binvec import INT_GATES, Gate
 from .errors import DEFAULT_CAP, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
@@ -195,12 +198,17 @@ def _reach_explicit(model, horizon, break_deps, cap):
     joints = ex.reach_explicit(model, horizon,
                                break_next_state_deps=break_deps, cap=cap)
     elapsed = time.perf_counter() - t0
-    nbytes = _lane_bytes(model)
-    # the oracle runs in one pass; the run's total time is reported on
-    # every step past 0
-    records = [_exact_record(model, (joint, _pack(joint.bits, nbytes)), k,
-                             elapsed if k else 0.0, cap)
-               for k, joint in enumerate(joints)]
+    records = []
+    for k, joint in enumerate(joints):
+        # each variable's set is sliced off the joint vectors by the
+        # oracle's own split, apart from the exact lane's packed projection
+        parts = [ex.split_joint(model, p) for p in joint.points]
+        var_sets = {v.name: ex.ExplicitSet(v.dim, [q[v.name] for q in parts])
+                    for v in model.state_vars}
+        # the oracle runs in one pass; the run's total time is reported on
+        # every step past 0
+        records.append(StepRecord(k, var_sets, len(joint),
+                                  elapsed if k else 0.0, joint))
     return ReachResult("explicit", "minkowski", tuple(records))
 
 
@@ -259,13 +267,37 @@ def _product_record(size, expand, model, state, step, elapsed, cap):
 
 # --- gates over sets of ints -----------------------------------------------
 
+# each gate as an AND, OR or XOR image and the number of operands to
+# complement first, by De Morgan: NAND is the OR of the complements, NOR
+# the AND of the complements, XNOR the XOR with one operand complemented
+_IMAGES = {
+    Gate.AND: ("__and__", 0), Gate.OR: ("__or__", 0),
+    Gate.XOR: ("__xor__", 0), Gate.NAND: ("__or__", 2),
+    Gate.NOR: ("__and__", 2), Gate.XNOR: ("__xor__", 1),
+}
+
+
 def _set_gates(m, cap, step):
     """The gates as pointwise images over sets of ints; the image's bound,
-    min(a·b, m + 1) values, is checked against cap before it is built."""
-    def image(op, a, b):
+    min(a·b, m + 1) values, is checked against cap before it is built.
+
+    The image grows by one value of the smaller operand at a time and
+    stops once it holds all m + 1 values, since no pair can add more.
+    """
+    def image(method, flips, a, b):
         check_cap("gate image", min(len(a) * len(b), m + 1), cap, step)
-        return frozenset({op(x, y, m) for x in a for y in b})
-    return {kind: partial(image, op) for kind, op in INT_GATES.items()}
+        small, large = (a, b) if len(a) <= len(b) else (b, a)
+        if flips:
+            small = [y ^ m for y in small]
+        if flips == 2:
+            large = [x ^ m for x in large]
+        out = set()
+        for y in small:
+            out.update(map(getattr(y, method), large))
+            if len(out) > m:
+                break
+        return frozenset(out)
+    return {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}
 
 
 # --- logical lane -----------------------------------------------------------

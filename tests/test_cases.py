@@ -121,6 +121,9 @@ def test_spec_validation():
         LfsrSpec(8, (9,), (8,), 16)
     with pytest.raises(ValueError):
         LfsrSpec(8, (8,), (), 16)
+    for lm in (0, -3):
+        with pytest.raises(ValueError, match="message length"):
+            LfsrSpec(8, (8,), (8,), lm)
 
 
 def test_encrypt_is_involution():

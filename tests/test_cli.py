@@ -132,6 +132,21 @@ def test_cap_flag_beats_env(capsys, monkeypatch):
     assert out.splitlines()[-1].startswith("2,")
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cap_below_one_exits_usage(capsys, monkeypatch, cap):
+    argv = ["reach", "--model", "intersection", "--steps", "1"]
+    rc, out, err = run(capsys, argv + ["--cap", cap])
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: cap {cap}: must be at least 1\n"
+    monkeypatch.setenv("LOGIZONO_CAP", cap)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: cap {cap}: must be at least 1\n"
+    rc, _, err = run(capsys, argv + ["--cap", "1"])
+    assert rc == cli.EXIT_CAPACITY
+    assert "over the cap of 1" in err
+
+
 def test_reach_negative_steps_exits_usage(capsys):
     rc, out, err = run(capsys, ["reach", "--model", "intersection",
                                 "--steps", "1,-1"])
@@ -166,6 +181,26 @@ def test_lfsr_short_register_exits_usage(capsys, argv):
     assert out == ""
     assert err.startswith("error: register length ")
     assert "at least 2 cells" in err
+
+
+@pytest.mark.parametrize("key", ["FFFF", "100", "-1"])
+def test_lfsr_key_wider_than_register_exits_usage(capsys, key):
+    rc, out, err = run(capsys, ["lfsr", "--lk", "8", "--key-hex", key])
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: key {key}: does not fit 8 bits\n"
+
+
+def test_lfsr_key_filling_register(capsys):
+    rc, out, _ = run(capsys, ["lfsr", "--lk", "8", "--key-hex", "FF"])
+    assert rc == cli.EXIT_OK
+    assert "key=0xFF" in out
+
+
+@pytest.mark.parametrize("lm", ["0", "-3"])
+def test_lfsr_message_length_below_one_exits_usage(capsys, lm):
+    rc, out, err = run(capsys, ["lfsr", "--lk", "8", "--lm", lm])
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: message length {lm}: at least 1 bit\n"
 
 
 def test_lfsr_search_failure_maps_to_exit_code(capsys, monkeypatch):

@@ -6,12 +6,13 @@ import pytest
 
 from logizono import explicit as ex
 from logizono import logical as lz
-from logizono.binvec import BinaryMatrix, BinaryVector
+from logizono.binvec import BinaryMatrix, BinaryVector, Gate
 from logizono.cases import intersection_model
 from logizono.errors import CapacityError, ModelError
 from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
-from logizono.reach import joint_size, poly_joint_set, reach, reach_report
+from logizono.reach import (_set_gates, joint_size, poly_joint_set, reach,
+                            reach_report)
 
 
 def bv(text):
@@ -393,6 +394,69 @@ def test_minkowski_lane_composes_pointwise_images():
                                     for v in model.state_vars}
             assert got.joint_size == math.prod(
                 len(s) for s in got.var_sets.values())
+
+
+def gate_operands(rng, width, full):
+    """Two operand value lists of unequal size (where the width allows),
+    one of them every value of the width when full is set."""
+    space = 1 << width
+    sizes = [rng.randint(1, min(space, 4 if full else 48)) for _ in range(2)]
+    if full:
+        sizes[rng.randrange(2)] = space
+    if sizes[0] == sizes[1] > 1:
+        sizes[1] -= 1
+    return [rng.sample(range(space), n) for n in sizes]
+
+
+@pytest.mark.parametrize("width", [*range(1, 13), 30])
+def test_set_gates_match_oracle_images(width):
+    rng = random.Random(width)
+    m = (1 << width) - 1
+    gates = _set_gates(m, 2**40, 1)
+    saturated = 0
+    for trial in range(6):
+        a, b = gate_operands(rng, width, width <= 12 and trial == 0)
+        for x, y in ((a, b), (b, a)):
+            for gate in Gate:
+                got = gates[gate](frozenset(x), frozenset(y))
+                want = ex.set_minkowski(ex.ExplicitSet.from_bits(width, x),
+                                        ex.ExplicitSet.from_bits(width, y),
+                                        gate)
+                assert got == want.bits, (gate, x, y)
+                saturated += len(got) == m + 1
+    # XOR and XNOR with a full operand always fill the image
+    assert saturated >= 4 if width <= 12 else saturated == 0
+
+
+class CountingValues:
+    """A sized iterable of ints that counts the values read from it."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.read = 0
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        for v in self.values:
+            self.read += 1
+            yield v
+
+
+def test_set_gate_image_stops_once_full():
+    m = (1 << 10) - 1
+    full = frozenset(range(m + 1))
+    gates = _set_gates(m, 2**40, 1)
+    for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
+        small = CountingValues([3, 5, 9])
+        assert gates[Gate.XOR](*order(small, full)) == full
+        assert small.read == 1
+        # XNOR complements the smaller operand first, then reads the full
+        # one once, for that operand's first value alone
+        wide = CountingValues(range(m + 1))
+        assert gates[Gate.XNOR](*order(frozenset({3, 5, 9}), wide)) == full
+        assert wide.read == m + 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "minkowski"])
