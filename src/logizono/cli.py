@@ -72,13 +72,17 @@ def cmd_reach(args):
 def cmd_lfsr(args):
     rng = random.Random(args.seed)
     lk = args.lk
+    for flag, value in (("--taps", args.taps), ("--out-taps", args.out_taps),
+                        ("--key-hex", args.key_hex)):
+        if value == "":
+            raise ValueError(f"{flag}: expected a value, found an empty one")
     taps = (tuple(int(t) for t in args.taps.split(","))
-            if args.taps else cases.default_taps(lk))
+            if args.taps is not None else cases.default_taps(lk))
     out_taps = (tuple(int(t) for t in args.out_taps.split(","))
-                if args.out_taps else (lk, lk - 1))
+                if args.out_taps is not None else (lk, lk - 1))
     lm = args.lm if args.lm is not None else 2 * lk
     spec = cases.LfsrSpec(lk, taps, out_taps, lm)
-    if args.key_hex:
+    if args.key_hex is not None:
         value = int(args.key_hex, 16)
         if not 0 <= value < 1 << lk:
             raise ValueError(f"key {args.key_hex}: does not fit {lk} bits")
@@ -97,7 +101,7 @@ def cmd_lfsr(args):
     print(f"# seed={args.seed}")
     print(f"recovered={'true' if ok else 'false'} "
           f"time_seconds={elapsed:.3f} lk={lk} lm={lm}")
-    if args.key_hex and ok:
+    if args.key_hex is not None and ok:
         print(f"key=0x{int(''.join(map(str, recovered)), 2):X}")
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -8,32 +8,60 @@ derived from it) over-approximate, never missing a point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
+from .binvec import BinaryMatrix, BinaryVector
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LogicalZonotope:
-    c: BinaryVector
-    G: BinaryMatrix
+    """A logical zonotope held as packed ints: the center's bits (cbits)
+    and a tuple of generator columns' bits (gbits). .c and .G, the
+    BinaryVector center and BinaryMatrix, are built on first read through
+    their public constructors, then kept."""
 
-    def __post_init__(self):
-        if self.G.rows != self.c.dim:
+    dim: int
+    cbits: int
+    gbits: tuple
+
+    def __init__(self, c, G):
+        if G.rows != c.dim:
             raise DimensionError("generator rows must match center dimension")
+        self._set(c.dim, c.bits, tuple(g.bits for g in G.columns))
+        self.__dict__["c"] = c
+        self.__dict__["G"] = G
+
+    @classmethod
+    def from_bits(cls, dim, cbits, gbits):
+        """The zonotope of the given packed ints, for the engine: .c and .G
+        check them against dim when they build their vectors."""
+        z = cls.__new__(cls)
+        z._set(dim, cbits, tuple(gbits))
+        return z
+
+    def _set(self, dim, cbits, gbits):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "cbits", cbits)
+        object.__setattr__(self, "gbits", gbits)
+
+    @cached_property
+    def c(self):
+        return BinaryVector(self.dim, self.cbits)
+
+    @cached_property
+    def G(self):
+        return BinaryMatrix(self.dim, tuple(BinaryVector(self.dim, g)
+                                            for g in self.gbits))
 
     @staticmethod
     def singleton(point):
-        return LogicalZonotope(point, BinaryMatrix.empty(point.dim))
-
-    @property
-    def dim(self):
-        return self.c.dim
+        return LogicalZonotope.from_bits(point.dim, point.bits, ())
 
     @property
     def gamma(self):
-        return self.G.cols
+        return len(self.gbits)
 
 
 def _check(a, b):
@@ -43,11 +71,13 @@ def _check(a, b):
 
 def lz_xor(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     _check(a, b)
-    return LogicalZonotope(bv_op(a.c, b.c, Gate.XOR), a.G.hstack(b.G))
+    return LogicalZonotope.from_bits(a.dim, a.cbits ^ b.cbits,
+                                     a.gbits + b.gbits)
 
 
 def lz_not(a: LogicalZonotope) -> LogicalZonotope:
-    return LogicalZonotope(bv_not(a.c), a.G)
+    return LogicalZonotope.from_bits(a.dim, a.cbits ^ ((1 << a.dim) - 1),
+                                     a.gbits)
 
 
 def lz_xnor(a, b):
@@ -57,22 +87,18 @@ def lz_xnor(a, b):
 def lz_and(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     """Over-approximating AND; the result contains every pointwise product."""
     _check(a, b)
-    return LogicalZonotope(bv_op(a.c, b.c, Gate.AND), and_generators(a, b))
+    return LogicalZonotope.from_bits(
+        a.dim, a.cbits & b.cbits,
+        and_columns(a.cbits, a.gbits, b.cbits, b.gbits))
 
 
-def and_generators(a, b):
-    """Generator columns of a AND b, for logical and polynomial logical
-    zonotopes alike: a.c & each of b's generators, b.c & each of a's, then
-    every pair of generators, a's outer."""
-    cols = []
-    for g in b.G.columns:
-        cols.append(bv_op(a.c, g, Gate.AND))
-    for g in a.G.columns:
-        cols.append(bv_op(b.c, g, Gate.AND))
-    for g1 in a.G.columns:
-        for g2 in b.G.columns:
-            cols.append(bv_op(g1, g2, Gate.AND))
-    return BinaryMatrix(a.dim, tuple(cols))
+def and_columns(ac, ag, bc, bg):
+    """Generator columns of a AND b, as packed ints, for logical and
+    polynomial logical zonotopes alike, from each operand's center and
+    columns: a's center & each of b's columns, b's center & each of a's,
+    then every pair of columns, a's outer."""
+    return ([ac & g for g in bg] + [bc & g for g in ag]
+            + [g1 & g2 for g1 in ag for g2 in bg])
 
 
 def lz_nand(a, b):
@@ -93,8 +119,10 @@ def lz_enclose_points(points) -> LogicalZonotope:
     if not points:
         raise ValueError("at least one point required")
     c = points[0]
-    cols = [bv_op(s, c, Gate.XOR) for s in points[1:]]
-    return LogicalZonotope(c, BinaryMatrix(c.dim, tuple(cols)))
+    if any(p.dim != c.dim for p in points):
+        raise DimensionError("point dimension mismatch")
+    return LogicalZonotope.from_bits(
+        c.dim, c.bits, [p.bits ^ c.bits for p in points[1:]])
 
 
 def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
@@ -102,14 +130,14 @@ def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
 
     The generators are first reduced to an independent basis, which
     preserves the set exactly; gamma independent generators give 2^gamma
-    points, and more than cap points raise CapacityError before any is
-    built.
+    points, all distinct, and more than cap points raise CapacityError
+    before any is built.
     """
-    basis = _basis(a)
+    basis = _basis(a.gbits)
     check_cap("logical zonotope set", 1 << len(basis), cap)
-    points = {a.c.bits}
+    points = [a.cbits]
     for g in basis:
-        points |= {x ^ g for x in points}
+        points += [x ^ g for x in points]
     return ExplicitSet.from_bits(a.dim, points)
 
 
@@ -117,16 +145,16 @@ def lz_contains(a: LogicalZonotope, point: BinaryVector) -> bool:
     if a.dim != point.dim:
         raise DimensionError(f"dim {a.dim} vs {point.dim}")
     # point is in the set iff point xor c lies in the span of the generators
-    x = point.bits ^ a.c.bits
-    for g in _basis(a):
+    x = point.bits ^ a.cbits
+    for g in _basis(a.gbits):
         x = min(x, x ^ g)
     return x == 0
 
 
 def lz_compact(a: LogicalZonotope) -> LogicalZonotope:
     """Drop all-zero generator columns and duplicate columns."""
-    cols = {g.bits: g for g in a.G.columns if g.bits}  # in first-seen order
-    return LogicalZonotope(a.c, BinaryMatrix(a.dim, tuple(cols.values())))
+    cols = dict.fromkeys(g for g in a.gbits if g)  # in first-seen order
+    return LogicalZonotope.from_bits(a.dim, a.cbits, cols)
 
 
 def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
@@ -137,19 +165,18 @@ def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
     center, so this preserves the set exactly while bounding the
     generator count by the dimension.
     """
-    cols = tuple(BinaryVector(a.dim, b) for b in _basis(a))
-    return LogicalZonotope(a.c, BinaryMatrix(a.dim, cols))
+    return LogicalZonotope.from_bits(a.dim, a.cbits, _basis(a.gbits))
 
 
-def _basis(a):
-    """An independent basis of the span of a's generators, as packed ints,
-    largest first."""
-    basis = []
-    for g in a.G.columns:
-        x = g.bits
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis.append(x)
-            basis.sort(reverse=True)
-    return basis
+def _basis(columns):
+    """An independent basis of the span of the packed int columns, by
+    Gaussian elimination: one element per leading bit, largest first."""
+    lead = {}  # bit_length() -> the basis element with that leading bit
+    for x in columns:
+        while x:
+            n = x.bit_length()
+            if n not in lead:
+                lead[n] = x
+                break
+            x ^= lead[n]
+    return [lead[n] for n in sorted(lead, reverse=True)]

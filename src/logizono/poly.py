@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
-from .logical import and_generators
+from .logical import and_columns
 
 _id_lock = threading.Lock()
 _id_next = 1
@@ -118,6 +118,13 @@ def merge_id(a, b):
     b2 = PolyLogicalZonotope(b.c, b.G, BinaryMatrix(len(merged), tuple(eb_cols)),
                              merged)
     return a2, b2
+
+
+def and_generators(a, b):
+    """Generator columns of a AND b, in and_columns' order."""
+    cols = and_columns(a.c.bits, [g.bits for g in a.G.columns],
+                       b.c.bits, [g.bits for g in b.G.columns])
+    return BinaryMatrix(a.dim, tuple(BinaryVector(a.dim, g) for g in cols))
 
 
 def pz_mink_xor(a, b):

@@ -10,10 +10,12 @@ next:
 
 - explicit: the oracle (explicit.reach_explicit) enumerates every
   (state, input) sample.
-- logical: one logical zonotope per variable. Updates run in generator
-  space; each result is reduced to an independent generator basis, which
-  keeps the set and bounds the generator count. The record evaluates each
-  zonotope once, and the joint size is the product of the set sizes.
+- logical: one logical zonotope per variable, held as packed ints (the
+  center's and one per generator column); vectors are built only at the
+  API and JSON boundary. Updates run in generator space; each result is
+  reduced to an independent generator basis, which keeps the set and
+  bounds the generator count. The record evaluates each zonotope once,
+  and the joint size is the product of the set sizes.
 - poly, minkowski: one set of values, as ints, per variable. A step
   folds each update over those sets: a gate is its pointwise image with
   the operands ranging independently, which is what the pz_mink_* gates

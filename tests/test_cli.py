@@ -196,6 +196,14 @@ def test_lfsr_key_filling_register(capsys):
     assert "key=0xFF" in out
 
 
+@pytest.mark.parametrize("flag", ["--key-hex", "--taps", "--out-taps"])
+def test_lfsr_empty_value_exits_usage(capsys, flag):
+    # an empty value is a usage error, not a request for the default
+    rc, out, err = run(capsys, ["lfsr", "--lk", "8", flag, ""])
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: {flag}: expected a value, found an empty one\n"
+
+
 @pytest.mark.parametrize("lm", ["0", "-3"])
 def test_lfsr_message_length_below_one_exits_usage(capsys, lm):
     rc, out, err = run(capsys, ["lfsr", "--lk", "8", "--lm", lm])

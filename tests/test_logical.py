@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from logizono.binvec import BinaryMatrix, BinaryVector, Gate, bv_op
 from logizono.errors import CapacityError, DimensionError
 from logizono.explicit import set_minkowski, set_not
-from logizono.logical import (LogicalZonotope, lz_and, lz_compact,
+from logizono.logical import (LogicalZonotope, _basis, lz_and, lz_compact,
                               lz_contains, lz_enclose_points, lz_evaluate,
                               lz_nand, lz_nor, lz_not, lz_or, lz_reduce,
                               lz_xnor, lz_xor)
@@ -123,3 +125,76 @@ def test_sizes_are_powers_of_two():
     pts = [BinaryVector(3, b) for b in (0, 1, 2, 7)]
     z = lz_enclose_points(pts)
     assert len(lz_evaluate(z)) in (1, 2, 4, 8)
+
+
+def random_columns(rng):
+    """A random column list at widths 1-12: possibly empty, with repeats,
+    zero columns and more columns than the width."""
+    n = rng.randint(1, 12)
+    cols = [rng.getrandbits(n) for _ in range(rng.randint(0, n + 3))]
+    cols += [0] * rng.randint(0, 2) + rng.sample(cols, min(len(cols), 2))
+    rng.shuffle(cols)
+    return n, cols
+
+
+def span(cols):
+    out = {0}
+    for g in cols:
+        out |= {x ^ g for x in out}
+    return out
+
+
+def rank(cols):
+    # the dimension of the span, by counting its members
+    return len(span(cols)).bit_length() - 1
+
+
+def test_basis_is_an_echelon_basis_of_the_span():
+    rng = random.Random(0)
+    for _ in range(200):
+        _, cols = random_columns(rng)
+        basis = _basis(cols)
+        leads = [g.bit_length() for g in basis]
+        assert leads == sorted(set(leads), reverse=True), cols
+        assert 0 not in leads, cols
+        assert span(basis) == span(cols), cols
+        assert len(basis) == rank(cols), cols
+
+
+def test_contains_and_reduce_agree_with_enumeration():
+    rng = random.Random(1)
+    for _ in range(200):
+        n, cols = random_columns(rng)
+        c = BinaryVector(n, rng.getrandbits(n))
+        z = LogicalZonotope(c, BinaryMatrix(n, tuple(BinaryVector(n, g)
+                                                     for g in cols)))
+        members = lz_evaluate(z)
+        assert members.bits == {c.bits ^ x for x in span(cols)}, cols
+        assert lz_evaluate(lz_reduce(z)) == members, cols
+        if n <= 6:
+            for bits in range(1 << n):
+                point = BinaryVector(n, bits)
+                assert lz_contains(z, point) == (point in members), cols
+
+
+def test_constructor_keeps_vectors_and_engine_builds_them_on_read(built):
+    c = bv([1, 0, 1])
+    G = BinaryMatrix(3, (bv([0, 1, 1]), bv([1, 1, 0])))
+    z = LogicalZonotope(c, G)
+    assert z.c == c and z.G == G
+    built[0] = 0
+    engine = LogicalZonotope.from_bits(3, 0b101, (0b110, 0b011))
+    assert engine == z and hash(engine) == hash(z)
+    assert built[0] == 0
+    assert engine.c == c and engine.G == G
+    assert built[0] == 3
+
+
+def test_mismatched_widths_raise():
+    with pytest.raises(DimensionError):
+        LogicalZonotope(bv([0, 1]), BinaryMatrix(3, (bv([0, 1, 1]),)))
+    with pytest.raises(DimensionError):
+        lz_enclose_points([bv([0, 1]), bv([0, 1, 1])])
+    with pytest.raises(DimensionError):
+        lz_and(LogicalZonotope.singleton(bv([0])),
+               LogicalZonotope.singleton(bv([0, 0])))

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from logizono import explicit as ex
-from logizono import logical as lz
 from logizono.binvec import BinaryMatrix, BinaryVector, Gate
-from logizono.cases import intersection_model
+from logizono.cases import boolean10_model, intersection_model
 from logizono.errors import CapacityError, ModelError
 from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
@@ -474,23 +473,18 @@ def test_poly_lanes_build_vectors_only_when_points_are_read(built, mode):
             assert s.points <= rec.var_sets[name].points
 
 
-def test_logical_records_build_no_vectors(built, monkeypatch):
-    # the logical gates still build generator columns as BinaryVectors;
-    # enumerating each reduced zonotope for the record builds none
-    per_record = []
-    evaluate = lz.lz_evaluate
-
-    def counted(z, cap):
-        before = built[0]
-        out = evaluate(z, cap)
-        per_record.append(built[0] - before)
-        return out
-
-    monkeypatch.setattr(lz, "lz_evaluate", counted)
-    model = intersection_model()
-    got = reach(model, 5, "logical")
-    assert per_record and not any(per_record)
-    oracle = reach(model, 5, "explicit")
-    for k in range(6):
-        for name, s in oracle.record(k).var_sets.items():
-            assert s.points <= got.record(k).var_sets[name].points
+def test_logical_lane_builds_no_vectors(built):
+    # each logical zonotope is held as packed ints, gates and records
+    # alike; BinaryVectors are built only when a caller reads .c, .G or
+    # a record's .points
+    runs = [(intersection_model(), 5, 5, {}),
+            (boolean10_model(0), 8, 4, {"cap": 2**40})]
+    for model, steps, oracle_steps, kwargs in runs:
+        built[0] = 0  # parsing the model builds its literal vectors
+        got = reach(model, steps, "logical", **kwargs)
+        assert built[0] == 0
+        # the oracle is checked over the steps it reaches in under a second
+        oracle = reach(model, oracle_steps, "explicit", **kwargs)
+        for k in range(oracle_steps + 1):
+            for name, s in oracle.record(k).var_sets.items():
+                assert s.points <= got.record(k).var_sets[name].points
