@@ -54,6 +54,8 @@ def _resolve_model(spec_text):
 
 
 def cmd_reach(args):
+    if args.dump_sets and args.format != "json":
+        raise ModelError("--dump-sets needs --format json")
     model, path = _resolve_model(args.model)
     steps = sorted(int(s) for s in args.steps.split(","))
     result = reach(model, steps, args.algebra, args.mode,

@@ -129,16 +129,21 @@ def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
     """Enumerate the represented set.
 
     The generators are first reduced to an independent basis, which
-    preserves the set exactly; gamma independent generators give 2^gamma
-    points, all distinct, and more than cap points raise CapacityError
-    before any is built.
+    preserves the set exactly, then enumerated by lz_points.
     """
-    basis = _basis(a.gbits)
+    return lz_points(a.dim, a.cbits, _basis(a.gbits), cap)
+
+
+def lz_points(dim, cbits, basis, cap=DEFAULT_CAP) -> ExplicitSet:
+    """The set cbits xor span(basis), for independent packed int columns
+    such as a reduced zonotope's: gamma of them give 2^gamma points, all
+    distinct, and more than cap points raise CapacityError before any is
+    built."""
     check_cap("logical zonotope set", 1 << len(basis), cap)
-    points = [a.cbits]
+    points = [cbits]
     for g in basis:
         points += [x ^ g for x in points]
-    return ExplicitSet.from_bits(a.dim, points)
+    return ExplicitSet.from_bits(dim, points)
 
 
 def lz_contains(a: LogicalZonotope, point: BinaryVector) -> bool:

@@ -14,8 +14,9 @@ next:
   center's and one per generator column); vectors are built only at the
   API and JSON boundary. Updates run in generator space; each result is
   reduced to an independent generator basis, which keeps the set and
-  bounds the generator count. The record evaluates each zonotope once,
-  and the joint size is the product of the set sizes.
+  bounds the generator count. The record enumerates each reduced
+  zonotope once, without reducing it again, and the joint size is the
+  product of the set sizes.
 - poly, minkowski: one set of values, as ints, per variable. A step
   folds each update over those sets: a gate is its pointwise image with
   the operands ranging independently, which is what the pz_mink_* gates
@@ -26,16 +27,17 @@ next:
   set sizes; pz_encode_points(record.var_sets[name].points) gives a
   variable's polynomial logical zonotope.
 - poly, exact: the set of reached joint vectors, packed into one big int,
-  one fixed-width lane per vector. A step applies each gate to all lanes
-  with one bitwise operation, once per combination of input values; the
-  record splits each variable's set off the same int by shift and mask.
-  This is the set the exact pz_* gates compute, without their generator
-  products; pz_encode_points(record.joint_set.points) gives the step's
-  polynomial logical zonotope.
+  one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that holds the
+  joint width (more bytes above 64 bits). A step applies each gate to all
+  lanes with one bitwise operation, once per combination of input values.
+  The record keeps the int and splits each variable's set off it by shift
+  and mask when var_sets is first read. This is the set the exact pz_*
+  gates compute, without their generator products; pz_encode_points(
+  record.joint_set.points) gives the step's polynomial logical zonotope.
 
-When every recorded set repeats (the joint set, on the exact lane) and
-the inputs are the same every step, the run has hit a fixpoint and the
-remaining steps are filled in without iterating.
+When the inputs are the same every step and every recorded set repeats
+(on the exact lane the joint set, which fixes the projections), the run
+has hit a fixpoint and the remaining steps share the last record.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ import operator
 import sys
 import time
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .binvec import INT_GATES, Gate
 from .errors import DEFAULT_CAP, ModelError, check_cap
@@ -65,7 +68,9 @@ ALGEBRAS = ("explicit", "logical", "poly")
 @dataclass(frozen=True)
 class StepRecord:
     step: int
-    var_sets: dict  # name -> ExplicitSet of ints, .points built on demand
+    # name -> ExplicitSet of ints, .points built on demand; on exact
+    # lanes the sets are split off the packed lanes when first read
+    var_sets: Mapping
     joint_size: int
     wall_time: float
     joint_set: object = None  # the same, of joint vectors, on exact lanes
@@ -222,9 +227,11 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
                  for v in model.state_vars}
         step = _logical_step
-        # every state zonotope is reduced: gamma generators, 2^gamma points
+        # every state zonotope is reduced: gamma generators, 2^gamma
+        # points, enumerated as they are
         record = partial(_product_record, lambda z: 1 << z.gamma,
-                         lambda var, z: lz.lz_evaluate(z, cap))
+                         lambda var, z: lz.lz_points(z.dim, z.cbits,
+                                                     z.gbits, cap))
     else:
         state = {v.name: frozenset(p.bits for p in v.init)
                  for v in model.state_vars}
@@ -232,6 +239,7 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         record = partial(_product_record, len, lambda var, values:
                          ex.ExplicitSet.from_bits(var.dim, values))
     records = [record(model, state, 0, 0.0, cap)]
+    constant = all(v.constant for v in model.input_vars)
     fixpoint_at = -1
     k = 0
     while k < horizon:
@@ -241,11 +249,11 @@ def _reach_lane(model, horizon, algebra, mode, cap):
         k += 1
         records.append(record(model, nxt, k, elapsed, cap))
         # the exact lane repeats when its joint set does, the other lanes
-        # (joint_set None) when every variable's set does
+        # when every variable's set does
         last, prev = records[-1], records[-2]
-        same = ((last.joint_set, last.var_sets)
-                == (prev.joint_set, prev.var_sets))
-        if same and all(v.constant for v in model.input_vars):
+        if constant and (last.joint_set == prev.joint_set
+                         if mode == "exact" else
+                         last.var_sets == prev.var_sets):
             fixpoint_at = k
             for j in range(k + 1, horizon + 1):
                 records.append(StepRecord(j, last.var_sets, last.joint_size,
@@ -341,16 +349,19 @@ def _minkowski_step(model, state, k, cap):
 # --- poly exact lane: joint vectors as ints in model.state_vars order -------
 # The state is (joint, packed): the ExplicitSet of reached joint vectors,
 # and the same vectors packed into one int, one fixed-width lane each,
-# which both the step and the record read.
+# which the step reads and the record keeps for _split.
 
 _ORDER = sys.byteorder
-_WORD = array("Q").itemsize
+# unsigned array typecodes by item size: 1, 2, 4 and 8 bytes
+_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
 
 
 def _lane_bytes(model):
-    """Bytes per lane: one machine word, or what the joint width needs."""
+    """Bytes per lane: the smallest array item that holds the joint width,
+    or as many bytes as the width needs above 64 bits."""
     width = sum(v.dim for v in model.state_vars)
-    return _WORD if width <= 8 * _WORD else (width + 7) // 8
+    return next((n for n in sorted(_TYPECODES) if 8 * n >= width),
+                (width + 7) // 8)
 
 
 def _exact_state(model, points):
@@ -412,8 +423,8 @@ def _exact_step(model, state, k, cap):
 
 
 def _pack(lanes, nbytes):
-    if nbytes == _WORD:
-        data = array("Q", lanes).tobytes()
+    if nbytes in _TYPECODES:
+        data = array(_TYPECODES[nbytes], lanes).tobytes()
     else:
         data = b"".join([p.to_bytes(nbytes, _ORDER) for p in lanes])
     return int.from_bytes(data, _ORDER)
@@ -421,16 +432,41 @@ def _pack(lanes, nbytes):
 
 def _unpack(packed, count, nbytes):
     data = packed.to_bytes(count * nbytes, _ORDER)
-    if nbytes == _WORD:
-        return array("Q", data)
+    if nbytes in _TYPECODES:
+        return array(_TYPECODES[nbytes], data)
     return [int.from_bytes(data[i:i + nbytes], _ORDER)
             for i in range(0, len(data), nbytes)]
 
 
 def _exact_record(model, state, step, elapsed, cap):
-    """Record of an exact-lane state: one shift and mask over all lanes of
-    packed splits off each variable's set."""
-    joint, packed = state
+    """Record of an exact-lane state, its var_sets split off when read."""
+    return StepRecord(step, _Projections(model, state), len(state[0]),
+                      elapsed, state[0])
+
+
+class _Projections(Mapping):
+    """The var_sets of an exact-lane state, split off when first read."""
+
+    def __init__(self, model, state):
+        self._model, self._state = model, state
+
+    @cached_property
+    def _sets(self):
+        return _split(self._model, *self._state)
+
+    def __getitem__(self, name):
+        return self._sets[name]
+
+    def __iter__(self):
+        return iter(self._sets)
+
+    def __len__(self):
+        return len(self._sets)
+
+
+def _split(model, joint, packed):
+    """Each variable's set of the exact-lane state (joint, packed): one
+    shift and mask over all lanes of packed per variable."""
     count, nbytes = len(joint), _lane_bytes(model)
     ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
     var_sets = {}
@@ -440,7 +476,7 @@ def _exact_record(model, state, step, elapsed, cap):
         var_sets[var.name] = ex.ExplicitSet.from_bits(
             var.dim, _unpack(lanes, count, nbytes))
         off += var.dim
-    return StepRecord(step, var_sets, count, elapsed, joint)
+    return var_sets
 
 
 # --- reporting --------------------------------------------------------------

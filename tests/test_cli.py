@@ -155,6 +155,17 @@ def test_reach_negative_steps_exits_usage(capsys):
     assert err == "error: steps: must be non-negative, found -1\n"
 
 
+def test_reach_dump_sets_needs_json(capsys):
+    argv = ["reach", "--model", "intersection", "--algebra", "poly",
+            "--mode", "exact", "--steps", "2", "--dump-sets"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --dump-sets needs --format json\n"
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    assert rc == cli.EXIT_OK
+    assert set(json.loads(out)["sets"]) == {"2"}
+
+
 def test_lfsr_round_trip(capsys):
     rc, out, _ = run(capsys, ["lfsr", "--lk", "12", "--seed", "0"])
     assert rc == cli.EXIT_OK

@@ -1,17 +1,22 @@
+import importlib
 import json
 import math
 import random
 
 import pytest
 
-from logizono import explicit as ex
+from logizono import explicit as ex, logical as lz
 from logizono.binvec import BinaryMatrix, BinaryVector, Gate
 from logizono.cases import boolean10_model, intersection_model
 from logizono.errors import CapacityError, ModelError
 from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
-from logizono.reach import (_set_gates, joint_size, poly_joint_set, reach,
-                            reach_report)
+from logizono.reach import (_lane_bytes, _set_gates, joint_size,
+                            poly_joint_set, reach, reach_report)
+
+
+# the package's reach attribute is the function; this is its module
+reach_module = importlib.import_module("logizono.reach")
 
 
 def bv(text):
@@ -254,14 +259,15 @@ def test_reach_is_deterministic():
             assert ra.var_sets[name].points == rb.var_sets[name].points
 
 
-def random_lane_model(rng, wide=False):
+def random_lane_model(rng, wide=False, width=None):
     """Random model with mixed widths, per-step and constant inputs,
     constants and primed references.
 
     Every operand of an update has the width of the variable it updates,
     and the updates run in a shuffled order. With wide=True one or two
     state variables are 66-72 bits, so the joint vector is wider than 64
-    bits.
+    bits. With width set, the state variables split exactly that many
+    joint bits between them.
     """
     horizon = 4
     n_state = rng.randint(1, 3)
@@ -272,6 +278,9 @@ def random_lane_model(rng, wide=False):
     if wide:
         dims = [rng.randint(66, 72)] * rng.randint(1, 2) + dims[1:]
         n_state = len(dims)
+    if width:
+        cuts = sorted(rng.sample(range(1, width), n_state - 1))
+        dims = [b - a for a, b in zip([0, *cuts], [*cuts, width])]
 
     def vectors(dim, count):
         return sorted({format(rng.getrandbits(dim), f"0{dim}b")
@@ -331,19 +340,56 @@ def oracle_fixpoint(model, oracle):
     return -1
 
 
+def assert_exact_lane_matches_oracle(model, horizon):
+    oracle = reach(model, horizon, "explicit")
+    exact = reach(model, horizon, "poly", "exact")
+    assert exact.fixpoint_at == oracle_fixpoint(model, oracle)
+    for k in range(horizon + 1):
+        truth, got = oracle.record(k), exact.record(k)
+        assert got.joint_set == truth.joint_set
+        assert got.joint_size == truth.joint_size
+        assert got.var_sets == truth.var_sets
+
+
 @pytest.mark.parametrize("wide", [False, True])
 def test_exact_lane_matches_oracle_on_random_models(wide):
     rng = random.Random(11 + wide)
     for _ in range(40 if not wide else 15):
-        model, horizon = random_lane_model(rng, wide)
-        oracle = reach(model, horizon, "explicit")
-        exact = reach(model, horizon, "poly", "exact")
-        assert exact.fixpoint_at == oracle_fixpoint(model, oracle)
-        for k in range(horizon + 1):
-            truth, got = oracle.record(k), exact.record(k)
-            assert got.joint_set == truth.joint_set
-            assert got.joint_size == truth.joint_size
-            assert got.var_sets == truth.var_sets
+        assert_exact_lane_matches_oracle(*random_lane_model(rng, wide))
+
+
+# joint widths on both sides of each lane size, with the lane bytes chosen
+@pytest.mark.parametrize("width, nbytes", [
+    (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8), (65, 9)])
+def test_exact_lane_matches_oracle_at_lane_boundaries(width, nbytes):
+    rng = random.Random(width)
+    for _ in range(12):
+        model, horizon = random_lane_model(rng, width=width)
+        assert _lane_bytes(model) == nbytes
+        assert_exact_lane_matches_oracle(model, horizon)
+
+
+def test_exact_records_split_var_sets_only_when_read(monkeypatch):
+    splits = []
+    split = reach_module._split
+
+    def counted(model, joint, packed):
+        splits.append(joint)
+        return split(model, joint, packed)
+
+    monkeypatch.setattr(reach_module, "_split", counted)
+    model = intersection_model()
+    got = reach(model, 10, "poly", "exact")
+    assert got.fixpoint_at == 3
+    assert splits == []
+    oracle = reach(model, 4, "explicit")
+    for k in range(11):
+        truth = oracle.record(min(k, 4))
+        assert got.record(k).var_sets == truth.var_sets
+    # records 0-2 split once each; record 3 and the records filled in
+    # after the fixpoint share a single split
+    assert len(splits) == 4
+    assert got.record(10).var_sets is got.record(3).var_sets
 
 
 @pytest.mark.parametrize("algebra, mode", [
@@ -471,6 +517,28 @@ def test_poly_lanes_build_vectors_only_when_points_are_read(built, mode):
             assert rec.joint_set.points == truth.joint_set.points
         for name, s in truth.var_sets.items():
             assert s.points <= rec.var_sets[name].points
+
+
+def test_logical_records_enumerate_without_reducing(monkeypatch):
+    # every _basis call of a logical run is one of the step's lz_reduce
+    # calls: the record enumerates the reduced zonotopes as they are
+    calls = {"_basis": 0, "lz_reduce": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(lz, name, counted(name, getattr(lz, name)))
+    model = boolean10_model(0)
+    got = reach(model, 8, "logical", cap=2**40)
+    assert got.fixpoint_at == -1
+    n_state, n_input = len(model.state_vars), len(model.input_vars)
+    # the initial state's reductions, then each step's inputs and results
+    assert calls == {"_basis": n_state + 8 * (n_input + n_state),
+                     "lz_reduce": n_state + 8 * (n_input + n_state)}
 
 
 def test_logical_lane_builds_no_vectors(built):
