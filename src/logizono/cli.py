@@ -124,6 +124,8 @@ def cmd_eval(args):
 
 
 def cmd_selftest(args):
+    if args.trials < 1:
+        raise ModelError(f"--trials {args.trials}: must be at least 1")
     rng = random.Random(args.seed)
     exact_gates = (Gate.XOR, Gate.XNOR)
     failures = 0

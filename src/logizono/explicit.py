@@ -101,59 +101,76 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
     With break_next_state_deps, next-state references instead range
     independently over the set of values the referenced update can take
     at this step, which mimics analyses that cannot carry the intra-step
-    dependency.
+    dependency: those values are the projections of the step's ordinary
+    successors, and the samples are walked again once per combination of
+    them.
 
     Returns the list [R_0, ..., R_steps] of joint ExplicitSets.
     """
-    from .model import eval_concrete, next_state_refs
+    return list(itertools.islice(
+        explicit_steps(model, break_next_state_deps, cap), steps + 1))
 
-    names = [v.name for v in model.state_vars]
-    order = model.order
 
-    def joint(vecs):
-        bits = 0
-        off = 0
-        for v in vecs:
-            bits |= v.bits << off
-            off += v.dim
-        return BinaryVector(off, bits)
+def explicit_steps(model, break_next_state_deps, cap):
+    """Yield R_0, R_1, ... as reach_explicit defines them, each joint set
+    computed when it is asked for."""
+    from .model import next_state_refs
 
-    sizes = [len(set(v.init)) for v in model.state_vars]
-    check_cap("joint set", math.prod(sizes), cap, step=0)
-    initial = [
-        joint(vecs)
-        for vecs in itertools.product(*[v.init for v in model.state_vars])
-    ]
-    result = [ExplicitSet.from_points(initial)]
-
-    primed_refs = {name: sorted(next_state_refs(model.updates[name]))
-                   for name in order}
-
-    for k in range(steps):
+    check_cap("joint set", math.prod(len(set(v.init))
+                                     for v in model.state_vars), cap, step=0)
+    reached = ExplicitSet.from_bits(
+        sum(v.dim for v in model.state_vars),
+        map(_joint, itertools.product(*[v.init for v in model.state_vars])))
+    axes = sorted({r for name in model.order
+                   for r in next_state_refs(model.updates[name])})
+    for k in itertools.count():
+        yield reached
         input_sets = [model.input_set(v, k) for v in model.input_vars]
-        seen = set()
+        nxt = _successors(model, reached, input_sets, [{}], k, cap)
         if break_next_state_deps:
-            next_sets = _next_value_sets(model, result[-1], input_sets)
-        for state in result[-1].points:
-            env_base = split_joint(model, state)
-            for sample in itertools.product(*input_sets):
-                env = dict(env_base)
-                for var, val in zip(model.input_vars, sample):
-                    env[var.name] = val
-                if break_next_state_deps:
-                    for vecs in _independent_primed(model, env, primed_refs,
-                                                    next_sets):
-                        _record(vecs, joint, seen, cap, k)
-                else:
-                    for name in order:
-                        env[name + "'"] = eval_concrete(model.updates[name],
-                                                        env)
-                    # the joint vector follows declaration order, not the
-                    # evaluation order
-                    _record([env[name + "'"] for name in names], joint,
-                            seen, cap, k)
-        result.append(ExplicitSet.from_points(seen))
-    return result
+            parts = [split_joint(model, p) for p in nxt.points]
+            values = [{q[a] for q in parts} for a in axes]
+            fixed = [{a + "'": v for a, v in zip(axes, combo)}
+                     for combo in itertools.product(*values)]
+            nxt = _successors(model, reached, input_sets, fixed, k, cap)
+        reached = nxt
+
+
+def _successors(model, reached, input_sets, fixed, k, cap):
+    """The joint vectors the updates give at step k, each (state, input)
+    sample walked once per mapping in fixed: a primed reference reads its
+    fixed value when the mapping has one, else the value computed earlier
+    in the sample."""
+    from .model import eval_concrete
+
+    inputs = [v.name for v in model.input_vars]
+    seen = set()
+    for state in reached.points:
+        env_state = split_joint(model, state)
+        for sample in itertools.product(*input_sets):
+            env_state.update(zip(inputs, sample))
+            for primed in fixed:
+                env = {**env_state, **primed}
+                vals = {}
+                for name in model.order:
+                    vals[name] = eval_concrete(model.updates[name], env)
+                    env.setdefault(name + "'", vals[name])
+                # the joint vector follows declaration order, not the
+                # evaluation order
+                bits = _joint(vals[v.name] for v in model.state_vars)
+                if bits not in seen:
+                    check_cap("joint set", len(seen) + 1, cap, step=k + 1)
+                    seen.add(bits)
+    return ExplicitSet.from_bits(reached.dim, seen)
+
+
+def _joint(vecs):
+    """The packed int of the vectors laid end to end, the first lowest."""
+    bits = off = 0
+    for v in vecs:
+        bits |= v.bits << off
+        off += v.dim
+    return bits
 
 
 def split_joint(model, v):
@@ -165,43 +182,3 @@ def split_joint(model, v):
                                      (v.bits >> off) & ((1 << var.dim) - 1))
         off += var.dim
     return out
-
-
-def _record(vecs, joint, seen, cap, step):
-    v = joint(vecs)
-    if v not in seen:
-        check_cap("joint set", len(seen) + 1, cap, step=step + 1)
-        seen.add(v)
-
-
-def _next_value_sets(model, reached, input_sets):
-    """Per-variable sets of possible next values, dependency-preserving."""
-    from .model import eval_concrete
-
-    out = {name: set() for name in model.order}
-    for state in reached.points:
-        env_base = split_joint(model, state)
-        for sample in itertools.product(*input_sets):
-            env = dict(env_base)
-            for var, val in zip(model.input_vars, sample):
-                env[var.name] = val
-            for name in model.order:
-                v = eval_concrete(model.updates[name], env)
-                env[name + "'"] = v
-                out[name].add(v)
-    return {name: sorted(vals, key=lambda p: p.bits)
-            for name, vals in out.items()}
-
-
-def _independent_primed(model, env, primed_refs, next_sets):
-    """Yield next-state tuples with primed references drawn independently."""
-    from .model import eval_concrete
-
-    axes = sorted({r for name in model.order for r in primed_refs[name]})
-    for combo in itertools.product(*[next_sets[a] for a in axes]):
-        env2 = dict(env)
-        for a, val in zip(axes, combo):
-            env2[a + "'"] = val
-        vals = {name: eval_concrete(model.updates[name], env2)
-                for name in model.order}
-        yield [vals[v.name] for v in model.state_vars]

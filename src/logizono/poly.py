@@ -90,11 +90,6 @@ class PolyLogicalZonotope:
                                    _matrix(doc, "E", len(ids)), ids)
 
 
-def _check(a, b):
-    if a.dim != b.dim:
-        raise DimensionError(f"dim {a.dim} vs {b.dim}")
-
-
 def merge_id(a, b):
     """Rewrite both zonotopes onto one common identifier vector.
 
@@ -120,41 +115,22 @@ def merge_id(a, b):
     return a2, b2
 
 
-def and_generators(a, b):
-    """Generator columns of a AND b, in and_columns' order."""
-    cols = and_columns(a.c.bits, [g.bits for g in a.G.columns],
-                       b.c.bits, [g.bits for g in b.G.columns])
-    return BinaryMatrix(a.dim, tuple(BinaryVector(a.dim, g) for g in cols))
+def _fresh(a):
+    """a over newly allocated identifiers: a factor no other zonotope has."""
+    return PolyLogicalZonotope(a.c, a.G, a.E, unique_id(a.p))
 
 
 def pz_mink_xor(a, b):
-    _check(a, b)
-    p1, p2 = a.p, b.p
-    rows = p1 + p2
-    cols = [BinaryVector(rows, col.bits) for col in a.E.columns]
-    cols += [BinaryVector(rows, col.bits << p1) for col in b.E.columns]
-    return PolyLogicalZonotope(
-        bv_op(a.c, b.c, Gate.XOR), a.G.hstack(b.G),
-        BinaryMatrix(rows, tuple(cols)), unique_id(rows))
+    """The exact XOR over fresh factors, so the operands vary
+    independently."""
+    return pz_exact_xor(_fresh(a), _fresh(b))
 
 
 def pz_mink_and(a, b):
-    """Exact AND of independently-varying operands.
-
-    Cross terms are gated by the conjunction of both operands' monomials,
-    expressed over a fresh factor vector of length p1 + p2.
-    """
-    _check(a, b)
-    p1, p2 = a.p, b.p
-    rows = p1 + p2
-    ecols = [BinaryVector(rows, col.bits << p1) for col in b.E.columns]
-    ecols += [BinaryVector(rows, col.bits) for col in a.E.columns]
-    for c1 in a.E.columns:
-        for c2 in b.E.columns:
-            ecols.append(BinaryVector(rows, c1.bits | (c2.bits << p1)))
-    return PolyLogicalZonotope(
-        bv_op(a.c, b.c, Gate.AND), and_generators(a, b),
-        BinaryMatrix(rows, tuple(ecols)), unique_id(rows))
+    """The exact AND over fresh factors, so the operands vary
+    independently: cross terms are gated by the conjunction of both
+    operands' monomials."""
+    return pz_exact_and(_fresh(a), _fresh(b))
 
 
 def pz_not(a):
@@ -189,8 +165,11 @@ def pz_exact_and(a, b):
     for c1 in a.E.columns:
         for c2 in b.E.columns:
             ecols.append(BinaryVector(len(a.id), c1.bits | c2.bits))
+    gcols = and_columns(a.c.bits, [g.bits for g in a.G.columns],
+                        b.c.bits, [g.bits for g in b.G.columns])
     return PolyLogicalZonotope(
-        bv_op(a.c, b.c, Gate.AND), and_generators(a, b),
+        bv_op(a.c, b.c, Gate.AND),
+        BinaryMatrix(a.dim, tuple(BinaryVector(a.dim, g) for g in gcols)),
         BinaryMatrix(len(a.id), tuple(ecols)), a.id)
 
 
@@ -253,6 +232,13 @@ def value_table(a, id_order=None):
             if (e.bits >> r) & 1:
                 idx |= 1 << pos[ident]
         table[idx] ^= g.bits
+    return _zeta(table, p)
+
+
+def _zeta(table, p):
+    """The XOR zeta transform of a 2^p table, in place: entry i becomes the
+    XOR of the entries at every subset of i's bits. It is its own
+    inverse, so it also turns values into monomial coefficients."""
     for k in range(p):
         bit = 1 << k
         for i in range(1 << p):
@@ -346,12 +332,7 @@ def pz_encode_points(points):
     n = points[0].dim
     m = len(points)
     p = max(m - 1, 0).bit_length()
-    table = [points[min(i, m - 1)].bits for i in range(1 << p)]
-    for k in range(p):
-        step = 1 << k
-        for i in range(1 << p):
-            if i & step:
-                table[i] ^= table[i ^ step]
+    table = _zeta([points[min(i, m - 1)].bits for i in range(1 << p)], p)
     gcols = []
     ecols = []
     for idx in range(1, 1 << p):

@@ -190,6 +190,8 @@ def reach(model, steps, algebra, mode="minkowski", *,
     horizon = max(requested) if requested else 0
     if algebra not in ALGEBRAS:
         raise ModelError(f"unknown algebra {algebra!r}")
+    if mode not in ("minkowski", "exact"):
+        raise ModelError(f"unknown mode {mode!r}")
     if mode == "exact" and algebra != "poly":
         raise ModelError("exact mode requires the poly algebra")
     if break_next_state_deps and algebra != "explicit":
@@ -201,19 +203,17 @@ def reach(model, steps, algebra, mode="minkowski", *,
 
 
 def _reach_explicit(model, horizon, break_deps, cap):
-    t0 = time.perf_counter()
-    joints = ex.reach_explicit(model, horizon,
-                               break_next_state_deps=break_deps, cap=cap)
-    elapsed = time.perf_counter() - t0
+    joints = ex.explicit_steps(model, break_deps, cap)
     records = []
-    for k, joint in enumerate(joints):
+    for k in range(horizon + 1):
+        t0 = time.perf_counter()
+        joint = next(joints)
+        elapsed = time.perf_counter() - t0
         # each variable's set is sliced off the joint vectors by the
         # oracle's own split, apart from the exact lane's packed projection
         parts = [ex.split_joint(model, p) for p in joint.points]
         var_sets = {v.name: ex.ExplicitSet(v.dim, [q[v.name] for q in parts])
                     for v in model.state_vars}
-        # the oracle runs in one pass; the run's total time is reported on
-        # every step past 0
         records.append(StepRecord(k, var_sets, len(joint),
                                   elapsed if k else 0.0, joint))
     return ReachResult("explicit", "minkowski", tuple(records))

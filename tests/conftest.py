@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from logizono.binvec import BinaryMatrix, BinaryVector
 from logizono.logical import LogicalZonotope
+from logizono.model import parse_model
 from logizono.poly import PolyLogicalZonotope, unique_id
+
+
+GATES = ["^", "&", "|"]
+FUNCS = ["NAND", "NOR", "XNOR"]
 
 
 def bv(n, bits):
@@ -93,3 +98,75 @@ def random_lz(rng: random.Random, n, max_gamma=3):
     cols = tuple(BinaryVector(n, rng.getrandbits(n)) for _ in range(gamma))
     return LogicalZonotope(BinaryVector(n, rng.getrandbits(n)),
                            BinaryMatrix(n, cols))
+
+
+def random_lane_model(rng, wide=False, width=None):
+    """Random model with mixed widths, per-step and constant inputs,
+    constants and primed references.
+
+    Every operand of an update has the width of the variable it updates,
+    and the updates run in a shuffled order. With wide=True one or two
+    state variables are 66-72 bits, so the joint vector is wider than 64
+    bits. With width set, the state variables split exactly that many
+    joint bits between them.
+    """
+    horizon = 4
+    n_state = rng.randint(1, 3)
+    # mostly one shared width, so primed references have operands to match
+    shared = rng.randint(1, 3)
+    dims = [shared if rng.random() < 0.7 else rng.randint(1, 3)
+            for _ in range(n_state)]
+    if wide:
+        dims = [rng.randint(66, 72)] * rng.randint(1, 2) + dims[1:]
+        n_state = len(dims)
+    if width:
+        cuts = sorted(rng.sample(range(1, width), n_state - 1))
+        dims = [b - a for a, b in zip([0, *cuts], [*cuts, width])]
+
+    def vectors(dim, count):
+        return sorted({format(rng.getrandbits(dim), f"0{dim}b")
+                       for _ in range(count)})
+
+    doc = {"vars": [], "updates": {}, "order": []}
+    names = [f"s{i}" for i in range(n_state)]
+    for name, dim in zip(names, dims):
+        doc["vars"].append({"name": name, "role": "state", "dim": dim,
+                            "init": vectors(dim, rng.randint(1, 4))})
+    for i, dim in enumerate(dims):
+        var = {"name": f"u{i}", "role": "input", "dim": dim}
+        if rng.random() < 0.5:
+            var["set"] = vectors(dim, rng.randint(1, 3))
+        else:
+            var["steps"] = [vectors(dim, rng.randint(1, 3))
+                            for _ in range(horizon)]
+        doc["vars"].append(var)
+    order = names[:]
+    rng.shuffle(order)
+
+    def expr(dim, done, depth):
+        if depth == 0 or rng.random() < 0.3:
+            if done and rng.random() < 0.3:
+                return rng.choice(done) + "'"
+            refs = [n for n, d in zip(names, dims) if d == dim]
+            refs += [f"u{i}" for i, d in enumerate(dims) if d == dim]
+            choice = rng.randrange(len(refs) + 1)
+            if choice == len(refs):
+                return format(rng.getrandbits(dim), f"0{dim}b")
+            return refs[choice]
+        pick = rng.random()
+        if pick < 0.2:
+            return "!" + expr(dim, done, depth - 1)
+        a = expr(dim, done, depth - 1)
+        b = expr(dim, done, depth - 1)
+        if pick < 0.4:
+            return f"{rng.choice(FUNCS)}({a}, {b})"
+        return f"({a} {rng.choice(GATES)} {b})"
+
+    done = []
+    for name in order:
+        dim = dims[names.index(name)]
+        doc["updates"][name] = expr(
+            dim, [n for n in done if dims[names.index(n)] == dim], 3)
+        done.append(name)
+    doc["order"] = order
+    return parse_model(doc), horizon

@@ -237,6 +237,13 @@ def test_selftest(capsys):
     assert "failures=0" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_selftest_trials_below_one_exits_usage(capsys, trials):
+    rc, out, err = run(capsys, ["selftest", "--trials", trials])
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: --trials {trials}: must be at least 1\n"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"vars": [{"name": "x", "init": ["0"]}], "updates": {"x": "!x"}},
      "vars[0].dim: missing"),

@@ -1,12 +1,18 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from logizono.binvec import BinaryVector, Gate, bv_op
+from logizono.cases import intersection_model
 from logizono.errors import CapacityError, DimensionError
 from logizono.explicit import (ExplicitSet, reach_explicit, set_minkowski,
-                               set_not)
-from logizono.model import parse_model
+                               set_not, split_joint)
+from logizono.model import eval_concrete, next_state_refs, parse_model
+
+from conftest import random_lane_model
 
 
 def eset(*texts):
@@ -173,3 +179,61 @@ def test_reach_point_cap():
     with pytest.raises(CapacityError) as err:
         reach_explicit(model, 3, cap=2)
     assert err.value.step == 1
+
+
+def reference_reach(model, steps, break_deps):
+    """The two-pass oracle walk, kept as a reference: in break mode a first
+    pass over every (state, input) sample collects each variable's next
+    values, and a second pass evaluates every update with the primed
+    references drawn independently from those values."""
+    def joint(vecs):
+        bits = off = 0
+        for v in vecs:
+            bits |= v.bits << off
+            off += v.dim
+        return BinaryVector(off, bits)
+
+    def samples(reached, k):
+        input_sets = [model.input_set(v, k) for v in model.input_vars]
+        for state in reached:
+            for sample in itertools.product(*input_sets):
+                env = split_joint(model, state)
+                env.update((v.name, val)
+                           for v, val in zip(model.input_vars, sample))
+                yield env
+
+    axes = sorted({r for name in model.order
+                   for r in next_state_refs(model.updates[name])})
+    reached = {joint(vecs) for vecs in
+               itertools.product(*[v.init for v in model.state_vars])}
+    result = [reached]
+    for k in range(steps):
+        nexts = {name: set() for name in model.order}
+        seen = set()
+        for env in samples(reached, k):
+            for name in model.order:
+                env[name + "'"] = eval_concrete(model.updates[name], env)
+                nexts[name].add(env[name + "'"])
+            seen.add(joint([env[v.name + "'"] for v in model.state_vars]))
+        if break_deps:
+            seen = set()
+            for env in samples(reached, k):
+                for combo in itertools.product(*[nexts[a] for a in axes]):
+                    env2 = dict(env)
+                    env2.update((a + "'", val) for a, val in zip(axes, combo))
+                    seen.add(joint([eval_concrete(model.updates[v.name], env2)
+                                    for v in model.state_vars]))
+        reached = seen
+        result.append(reached)
+    return result
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_oracle_matches_two_pass_reference(broken):
+    rng = random.Random(31)
+    cases = [random_lane_model(rng) for _ in range(100)]
+    cases.append((intersection_model(), 2))
+    for model, horizon in cases:
+        want = reference_reach(model, horizon, broken)
+        got = reach_explicit(model, horizon, break_next_state_deps=broken)
+        assert [s.points for s in got] == want

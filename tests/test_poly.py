@@ -99,7 +99,17 @@ def test_minkowski_gates_are_pointwise_images(pair):
     for gate, fn in MINK.items():
         got = fn(a, b)
         assert got.p == a.p + b.p
+        assert not set(got.id) & (set(a.id) | set(b.id))
         assert pz_evaluate(got).points == set_minkowski(sa, sb, gate).points
+
+
+@given(poly_zonotopes())
+@settings(max_examples=60)
+def test_minkowski_gates_rename_a_shared_operand(z):
+    # unlike pz_exact_xor(z, z), both operands range over all of S
+    s = pz_evaluate(z)
+    for gate, fn in MINK.items():
+        assert pz_evaluate(fn(z, z)) == set_minkowski(s, s, gate)
 
 
 @given(pz_pairs())

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,8 @@ from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
 from logizono.reach import (_lane_bytes, _set_gates, joint_size,
                             poly_joint_set, reach, reach_report)
+
+from conftest import FUNCS, GATES, random_lane_model
 
 
 # the package's reach attribute is the function; this is its module
@@ -29,10 +32,6 @@ def identity_model():
                   "init": ["00", "11"]}],
         "updates": {"x": "x"},
     })
-
-
-GATES = ["^", "&", "|"]
-FUNCS = ["NAND", "NOR", "XNOR"]
 
 
 def random_model(rng, n_state=2, dim=2):
@@ -94,6 +93,9 @@ def test_argument_validation():
         reach(model, 1, "logical", "exact")
     with pytest.raises(ModelError):
         reach(model, 1, "poly", break_next_state_deps=True)
+    for algebra in ("poly", "logical", "explicit"):
+        with pytest.raises(ModelError, match="unknown mode 'fuzzy'"):
+            reach(model, 1, algebra, "fuzzy")
 
 
 def test_random_models_soundness_and_exactness():
@@ -248,6 +250,18 @@ def test_reports_round_trip():
     assert doc["sets"]["3"]["x"] == sorted(["00", "11"])
 
 
+def test_oracle_rows_report_each_steps_own_time(monkeypatch):
+    # two clock readings per step; step k takes k seconds, step 0 is free
+    readings = iter([0.0, 5.0, 10.0, 11.0, 20.0, 22.0, 30.0, 33.0])
+    monkeypatch.setattr(reach_module, "time",
+                        SimpleNamespace(perf_counter=readings.__next__))
+    res = reach(intersection_model(), 3, "explicit")
+    assert [r.wall_time for r in res.records] == [0.0, 1.0, 2.0, 3.0]
+    rows = reach_report(res, [1, 2, 3]).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [
+        "1.000000", "2.000000", "3.000000"]
+
+
 def test_reach_is_deterministic():
     rng = random.Random(3)
     model = random_model(rng, n_state=2, dim=3)
@@ -257,78 +271,6 @@ def test_reach_is_deterministic():
     for ra, rb in zip(a.records, b.records):
         for name in ra.var_sets:
             assert ra.var_sets[name].points == rb.var_sets[name].points
-
-
-def random_lane_model(rng, wide=False, width=None):
-    """Random model with mixed widths, per-step and constant inputs,
-    constants and primed references.
-
-    Every operand of an update has the width of the variable it updates,
-    and the updates run in a shuffled order. With wide=True one or two
-    state variables are 66-72 bits, so the joint vector is wider than 64
-    bits. With width set, the state variables split exactly that many
-    joint bits between them.
-    """
-    horizon = 4
-    n_state = rng.randint(1, 3)
-    # mostly one shared width, so primed references have operands to match
-    shared = rng.randint(1, 3)
-    dims = [shared if rng.random() < 0.7 else rng.randint(1, 3)
-            for _ in range(n_state)]
-    if wide:
-        dims = [rng.randint(66, 72)] * rng.randint(1, 2) + dims[1:]
-        n_state = len(dims)
-    if width:
-        cuts = sorted(rng.sample(range(1, width), n_state - 1))
-        dims = [b - a for a, b in zip([0, *cuts], [*cuts, width])]
-
-    def vectors(dim, count):
-        return sorted({format(rng.getrandbits(dim), f"0{dim}b")
-                       for _ in range(count)})
-
-    doc = {"vars": [], "updates": {}, "order": []}
-    names = [f"s{i}" for i in range(n_state)]
-    for name, dim in zip(names, dims):
-        doc["vars"].append({"name": name, "role": "state", "dim": dim,
-                            "init": vectors(dim, rng.randint(1, 4))})
-    for i, dim in enumerate(dims):
-        var = {"name": f"u{i}", "role": "input", "dim": dim}
-        if rng.random() < 0.5:
-            var["set"] = vectors(dim, rng.randint(1, 3))
-        else:
-            var["steps"] = [vectors(dim, rng.randint(1, 3))
-                            for _ in range(horizon)]
-        doc["vars"].append(var)
-    order = names[:]
-    rng.shuffle(order)
-
-    def expr(dim, done, depth):
-        if depth == 0 or rng.random() < 0.3:
-            if done and rng.random() < 0.3:
-                return rng.choice(done) + "'"
-            refs = [n for n, d in zip(names, dims) if d == dim]
-            refs += [f"u{i}" for i, d in enumerate(dims) if d == dim]
-            choice = rng.randrange(len(refs) + 1)
-            if choice == len(refs):
-                return format(rng.getrandbits(dim), f"0{dim}b")
-            return refs[choice]
-        pick = rng.random()
-        if pick < 0.2:
-            return "!" + expr(dim, done, depth - 1)
-        a = expr(dim, done, depth - 1)
-        b = expr(dim, done, depth - 1)
-        if pick < 0.4:
-            return f"{rng.choice(FUNCS)}({a}, {b})"
-        return f"({a} {rng.choice(GATES)} {b})"
-
-    done = []
-    for name in order:
-        dim = dims[names.index(name)]
-        doc["updates"][name] = expr(
-            dim, [n for n in done if dims[names.index(n)] == dim], 3)
-        done.append(name)
-    doc["order"] = order
-    return parse_model(doc), horizon
 
 
 def oracle_fixpoint(model, oracle):
