@@ -32,11 +32,19 @@ EXIT_CAPACITY = 3
 EXIT_SEARCH = 4
 
 
+def _int(text, name, base=10):
+    """int(text, base), or a usage error that names the flag or variable."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise ModelError(f"{name}: {text!r} is not an integer") from None
+
+
 def _cap(flag=None):
     """The capacity budget: --cap, else LOGIZONO_CAP, else DEFAULT_CAP."""
     if flag is None:
         text = os.environ.get("LOGIZONO_CAP")
-        flag = int(text) if text else DEFAULT_CAP
+        flag = _int(text, "LOGIZONO_CAP") if text else DEFAULT_CAP
     if flag < 1:
         raise ModelError(f"cap {flag}: must be at least 1")
     return flag
@@ -57,7 +65,7 @@ def cmd_reach(args):
     if args.dump_sets and args.format != "json":
         raise ModelError("--dump-sets needs --format json")
     model, path = _resolve_model(args.model)
-    steps = sorted(int(s) for s in args.steps.split(","))
+    steps = sorted(_int(s, "--steps") for s in args.steps.split(","))
     result = reach(model, steps, args.algebra, args.mode,
                    break_next_state_deps=args.break_next_state_deps,
                    cap=_cap(args.cap))
@@ -78,14 +86,14 @@ def cmd_lfsr(args):
                         ("--key-hex", args.key_hex)):
         if value == "":
             raise ValueError(f"{flag}: expected a value, found an empty one")
-    taps = (tuple(int(t) for t in args.taps.split(","))
+    taps = (tuple(_int(t, "--taps") for t in args.taps.split(","))
             if args.taps is not None else cases.default_taps(lk))
-    out_taps = (tuple(int(t) for t in args.out_taps.split(","))
+    out_taps = (tuple(_int(t, "--out-taps") for t in args.out_taps.split(","))
                 if args.out_taps is not None else (lk, lk - 1))
     lm = args.lm if args.lm is not None else 2 * lk
     spec = cases.LfsrSpec(lk, taps, out_taps, lm)
     if args.key_hex is not None:
-        value = int(args.key_hex, 16)
+        value = _int(args.key_hex, "--key-hex", 16)
         if not 0 <= value < 1 << lk:
             raise ValueError(f"key {args.key_hex}: does not fit {lk} bits")
         key = [(value >> (lk - 1 - i)) & 1 for i in range(lk)]

@@ -163,19 +163,23 @@ def lz_compact(a: LogicalZonotope) -> LogicalZonotope:
 
 
 def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
-    """Replace the generators by an independent basis of their span.
-
-    Because every subset XOR of generator columns is reachable, the
-    represented set is the affine span of the columns shifted by the
-    center, so this preserves the set exactly while bounding the
-    generator count by the dimension.
-    """
-    return LogicalZonotope.from_bits(a.dim, a.cbits, _basis(a.gbits))
+    """The canonical form of a: every subset XOR of its columns is
+    reachable, so its set is the center plus their span, and this keeps
+    the set with the reduced echelon basis of that span (at most dim
+    generators) and the center reduced against it. Zonotopes of one set
+    get equal cbits and gbits."""
+    basis = _basis(a.gbits)
+    c = a.cbits
+    for g in basis:
+        c = min(c, c ^ g)
+    return LogicalZonotope.from_bits(a.dim, c, basis)
 
 
 def _basis(columns):
-    """An independent basis of the span of the packed int columns, by
-    Gaussian elimination: one element per leading bit, largest first."""
+    """The reduced echelon basis of the span of the packed int columns,
+    largest leading bit first: no element holds another's leading bit.
+    Elimination keeps one element per leading bit, then one ascending
+    pass clears each element's bits at the smaller ones' leading bits."""
     lead = {}  # bit_length() -> the basis element with that leading bit
     for x in columns:
         while x:
@@ -184,4 +188,10 @@ def _basis(columns):
                 lead[n] = x
                 break
             x ^= lead[n]
-    return [lead[n] for n in sorted(lead, reverse=True)]
+    basis = []
+    for n in sorted(lead):
+        x = lead[n]
+        for g in basis:
+            x = min(x, x ^ g)
+        basis.append(x)
+    return basis[::-1]

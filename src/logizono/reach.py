@@ -2,21 +2,22 @@
 
 Each step evaluates every update in model.order against the step's input
 sets (a primed reference reads the next-state value computed earlier in
-the same step) and records per-variable sets plus the joint size, the
-number of distinct concatenated state vectors. The recorded sets hold
-packed ints; an ExplicitSet builds its .points, the BinaryVectors, only
-when they are first read. What each lane carries from one step to the
-next:
+the same step) and records the joint size, the number of distinct
+concatenated state vectors, and the lane's state. Every record splits
+the state into per-variable sets when var_sets is first read. The sets
+hold packed ints; an ExplicitSet builds its .points, the BinaryVectors,
+only when they are first read. What each lane carries from one step to
+the next:
 
 - explicit: the oracle (explicit.reach_explicit) enumerates every
   (state, input) sample.
 - logical: one logical zonotope per variable, held as packed ints (the
   center's and one per generator column); vectors are built only at the
   API and JSON boundary. Updates run in generator space; each result is
-  reduced to an independent generator basis, which keeps the set and
-  bounds the generator count. The record enumerates each reduced
-  zonotope once, without reducing it again, and the joint size is the
-  product of the set sizes.
+  reduced to its canonical form (lz_reduce), which keeps the set, bounds
+  the generator count and gives equal sets equal zonotopes. A record
+  enumerates each zonotope as it is, and the joint size is the product
+  of the set sizes.
 - poly, minkowski: one set of values, as ints, per variable. A step
   folds each update over those sets: a gate is its pointwise image with
   the operands ranging independently, which is what the pz_mink_* gates
@@ -26,18 +27,20 @@ next:
   variables vary independently, so the joint size is the product of the
   set sizes; pz_encode_points(record.var_sets[name].points) gives a
   variable's polynomial logical zonotope.
-- poly, exact: the set of reached joint vectors, packed into one big int,
-  one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that holds the
-  joint width (more bytes above 64 bits). A step applies each gate to all
-  lanes with one bitwise operation, once per combination of input values.
-  The record keeps the int and splits each variable's set off it by shift
-  and mask when var_sets is first read. This is the set the exact pz_*
-  gates compute, without their generator products; pz_encode_points(
-  record.joint_set.points) gives the step's polynomial logical zonotope.
+- poly, exact: the set of reached joint vectors. A step packs it into one
+  big int, one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that
+  holds the joint width (more bytes above 64 bits), and applies each gate
+  to all lanes with one bitwise operation, once per combination of input
+  values; a record's split packs it the same way and takes each
+  variable's set off the lanes by shift and mask. This is the set the
+  exact pz_* gates compute, without their generator products;
+  pz_encode_points(record.joint_set.points) gives the step's polynomial
+  logical zonotope.
 
-When the inputs are the same every step and every recorded set repeats
-(on the exact lane the joint set, which fixes the projections), the run
-has hit a fixpoint and the remaining steps share the last record.
+When the inputs are the same every step and a step's state equals the
+one before, the run has hit a fixpoint and the remaining steps share the
+last record. A state fixes its sets, and on every lane equal sets give
+equal states.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import sys
 import time
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from .binvec import INT_GATES, Gate
@@ -209,70 +212,89 @@ def _reach_explicit(model, horizon, break_deps, cap):
         t0 = time.perf_counter()
         joint = next(joints)
         elapsed = time.perf_counter() - t0
-        # each variable's set is sliced off the joint vectors by the
-        # oracle's own split, apart from the exact lane's packed projection
-        parts = [ex.split_joint(model, p) for p in joint.points]
-        var_sets = {v.name: ex.ExplicitSet(v.dim, [q[v.name] for q in parts])
-                    for v in model.state_vars}
-        records.append(StepRecord(k, var_sets, len(joint),
-                                  elapsed if k else 0.0, joint))
+        records.append(_record(model, _split_oracle, len, joint, k,
+                               elapsed if k else 0.0, cap))
     return ReachResult("explicit", "minkowski", tuple(records))
 
 
+def _split_oracle(model, joint):
+    """Each variable's set, by the oracle's own split of its joint set."""
+    parts = [ex.split_joint(model, p) for p in joint.points]
+    return {v.name: ex.ExplicitSet(v.dim, [q[v.name] for q in parts])
+            for v in model.state_vars}
+
+
 def _reach_lane(model, horizon, algebra, mode, cap):
+    # a lane: its initial state, step(model, state, k, cap) -> next state,
+    # size(state) -> joint size, split(model, state) -> {name: ExplicitSet}
     if mode == "exact":
-        state = _exact_initial(model, cap)
-        step, record = _exact_step, _exact_record
+        state, step, size, split = (_exact_initial(model, cap), _exact_step,
+                                    len, _split)
     elif algebra == "logical":
         state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
                  for v in model.state_vars}
         step = _logical_step
-        # every state zonotope is reduced: gamma generators, 2^gamma
-        # points, enumerated as they are
-        record = partial(_product_record, lambda z: 1 << z.gamma,
-                         lambda var, z: lz.lz_points(z.dim, z.cbits,
-                                                     z.gbits, cap))
+        # reduced zonotopes: 2^gamma points each, enumerated as they are
+        size = lambda st: math.prod(1 << z.gamma for z in st.values())
+        split = lambda model, st: {
+            name: lz.lz_points(z.dim, z.cbits, z.gbits, cap)
+            for name, z in st.items()}
     else:
         state = {v.name: frozenset(p.bits for p in v.init)
                  for v in model.state_vars}
         step = _minkowski_step
-        record = partial(_product_record, len, lambda var, values:
-                         ex.ExplicitSet.from_bits(var.dim, values))
-    records = [record(model, state, 0, 0.0, cap)]
+        size = lambda st: math.prod(map(len, st.values()))
+        split = lambda model, st: {
+            v.name: ex.ExplicitSet.from_bits(v.dim, st[v.name])
+            for v in model.state_vars}
+    records = [_record(model, split, size, state, 0, 0.0, cap)]
     constant = all(v.constant for v in model.input_vars)
     fixpoint_at = -1
-    k = 0
-    while k < horizon:
+    for k in range(1, horizon + 1):
         t0 = time.perf_counter()
-        nxt = step(model, state, k, cap)
-        elapsed = time.perf_counter() - t0
-        k += 1
-        records.append(record(model, nxt, k, elapsed, cap))
-        # the exact lane repeats when its joint set does, the other lanes
-        # when every variable's set does
-        last, prev = records[-1], records[-2]
-        if constant and (last.joint_set == prev.joint_set
-                         if mode == "exact" else
-                         last.var_sets == prev.var_sets):
+        nxt = step(model, state, k - 1, cap)
+        records.append(_record(model, split, size, nxt, k,
+                               time.perf_counter() - t0, cap))
+        if constant and nxt == state:
             fixpoint_at = k
-            for j in range(k + 1, horizon + 1):
-                records.append(StepRecord(j, last.var_sets, last.joint_size,
-                                          0.0, last.joint_set))
+            records += [replace(records[-1], step=j, wall_time=0.0)
+                        for j in range(k + 1, horizon + 1)]
             break
         state = nxt
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
 
 
-def _product_record(size, expand, model, state, step, elapsed, cap):
-    """Record of a lane whose variables vary independently of each other:
-    size(value) is a variable's set size, expand(var, value) its
-    ExplicitSet, and the joint size is the product of the sizes. The
-    product bounds every variable's size, and it is checked against cap
-    before any set is expanded."""
-    total = math.prod(size(state[v.name]) for v in model.state_vars)
+def _record(model, split, size, state, step, elapsed, cap):
+    """Record of a lane's state: its joint size, checked against cap
+    before any set is built, and var_sets split off the state when first
+    read. A joint ExplicitSet state, the oracle's or the exact lane's, is
+    also the record's joint_set."""
+    total = size(state)
     check_cap("joint set", total, cap, step)
-    var_sets = {v.name: expand(v, state[v.name]) for v in model.state_vars}
-    return StepRecord(step, var_sets, total, elapsed)
+    joint = state if isinstance(state, ex.ExplicitSet) else None
+    return StepRecord(step, _Projections(split, model, state), total,
+                      elapsed, joint)
+
+
+class _Projections(Mapping):
+    """The var_sets of a lane's state: split(model, state), called when
+    first read, then kept."""
+
+    def __init__(self, split, model, state):
+        self._split, self._model, self._state = split, model, state
+
+    @cached_property
+    def _sets(self):
+        return self._split(self._model, self._state)
+
+    def __getitem__(self, name):
+        return self._sets[name]
+
+    def __iter__(self):
+        return iter(self._sets)
+
+    def __len__(self):
+        return len(self._sets)
 
 
 # --- gates over sets of ints -----------------------------------------------
@@ -314,8 +336,8 @@ def _set_gates(m, cap, step):
 
 def _logical_step(model, state, k, cap):
     """Evaluate the updates in generator space, then reduce each result to
-    an independent basis (set-preserving) so generator counts stay
-    bounded."""
+    its canonical form (set-preserving), which bounds generator counts and
+    makes equal sets equal states."""
     env = dict(state)
     for var in model.input_vars:
         env[var.name] = lz.lz_reduce(
@@ -347,9 +369,8 @@ def _minkowski_step(model, state, k, cap):
 
 
 # --- poly exact lane: joint vectors as ints in model.state_vars order -------
-# The state is (joint, packed): the ExplicitSet of reached joint vectors,
-# and the same vectors packed into one int, one fixed-width lane each,
-# which the step reads and the record keeps for _split.
+# The state is the ExplicitSet of reached joint vectors. The step and
+# _split pack it into one int, one fixed-width lane per vector.
 
 _ORDER = sys.byteorder
 # unsigned array typecodes by item size: 1, 2, 4 and 8 bytes
@@ -364,12 +385,6 @@ def _lane_bytes(model):
                 (width + 7) // 8)
 
 
-def _exact_state(model, points):
-    joint = ex.ExplicitSet.from_bits(sum(v.dim for v in model.state_vars),
-                                     points)
-    return joint, _pack(joint.bits, _lane_bytes(model))
-
-
 def _exact_initial(model, cap):
     inits = [{p.bits for p in var.init} for var in model.state_vars]
     check_cap("joint set", math.prod(map(len, inits)), cap, step=0)
@@ -378,20 +393,17 @@ def _exact_initial(model, cap):
     for var, values in zip(model.state_vars, inits):
         points = [q | (v << off) for q in points for v in values]
         off += var.dim
-    return _exact_state(model, points)
+    return ex.ExplicitSet.from_bits(off, points)
 
 
-def _exact_step(model, state, k, cap):
-    """The exact-lane state one step after state.
+def _exact_step(model, joint, k, cap):
+    """The exact-lane state one step after joint.
 
     The updates are folded once per combination of input values, each
     input value replicated into every lane, so no table holds more than
     len(joint) lanes.
     """
-    joint, packed = state
-    count, nbytes = len(joint), _lane_bytes(model)
-    # a 1 at the bottom of every lane
-    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
+    packed, ones, count, nbytes = _pack(model, joint)
     env = {}
     ops = {}  # name -> fold's const, not_ and gates for its update
     placed = []  # (primed name, offset in the joint vector)
@@ -419,15 +431,19 @@ def _exact_step(model, state, k, cap):
             nxt |= env[key] << off
         out.update(_unpack(nxt, count, nbytes))
         check_cap("joint set", len(out), cap, step=k + 1)
-    return _exact_state(model, out)
+    return ex.ExplicitSet.from_bits(joint.dim, out)
 
 
-def _pack(lanes, nbytes):
+def _pack(model, joint):
+    """The joint vectors packed into one int, one lane each; also a 1 at
+    the bottom of every lane, the lane count and the bytes per lane."""
+    count, nbytes = len(joint), _lane_bytes(model)
     if nbytes in _TYPECODES:
-        data = array(_TYPECODES[nbytes], lanes).tobytes()
+        data = array(_TYPECODES[nbytes], joint.bits).tobytes()
     else:
-        data = b"".join([p.to_bytes(nbytes, _ORDER) for p in lanes])
-    return int.from_bytes(data, _ORDER)
+        data = b"".join([p.to_bytes(nbytes, _ORDER) for p in joint.bits])
+    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
+    return int.from_bytes(data, _ORDER), ones, count, nbytes
 
 
 def _unpack(packed, count, nbytes):
@@ -438,37 +454,10 @@ def _unpack(packed, count, nbytes):
             for i in range(0, len(data), nbytes)]
 
 
-def _exact_record(model, state, step, elapsed, cap):
-    """Record of an exact-lane state, its var_sets split off when read."""
-    return StepRecord(step, _Projections(model, state), len(state[0]),
-                      elapsed, state[0])
-
-
-class _Projections(Mapping):
-    """The var_sets of an exact-lane state, split off when first read."""
-
-    def __init__(self, model, state):
-        self._model, self._state = model, state
-
-    @cached_property
-    def _sets(self):
-        return _split(self._model, *self._state)
-
-    def __getitem__(self, name):
-        return self._sets[name]
-
-    def __iter__(self):
-        return iter(self._sets)
-
-    def __len__(self):
-        return len(self._sets)
-
-
-def _split(model, joint, packed):
-    """Each variable's set of the exact-lane state (joint, packed): one
-    shift and mask over all lanes of packed per variable."""
-    count, nbytes = len(joint), _lane_bytes(model)
-    ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
+def _split(model, joint):
+    """Each variable's set of the exact-lane state joint, packed when
+    read: one shift and mask over all lanes per variable."""
+    packed, ones, count, nbytes = _pack(model, joint)
     var_sets = {}
     off = 0
     for var in model.state_vars:

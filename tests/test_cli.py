@@ -215,6 +215,24 @@ def test_lfsr_empty_value_exits_usage(capsys, flag):
     assert err == f"error: {flag}: expected a value, found an empty one\n"
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["reach", "--model", "intersection"], "abc", "LOGIZONO_CAP: 'abc'"),
+    (["reach", "--model", "intersection", "--steps", "1,x"], None,
+     "--steps: 'x'"),
+    (["lfsr", "--lk", "8", "--key-hex", "zz"], None, "--key-hex: 'zz'"),
+    (["lfsr", "--lk", "8", "--taps", "8,x"], None, "--taps: 'x'"),
+    (["lfsr", "--lk", "8", "--out-taps", "8,7.5"], None,
+     "--out-taps: '7.5'"),
+], ids=["LOGIZONO_CAP", "steps", "key-hex", "taps", "out-taps"])
+def test_non_integer_value_names_its_setting(capsys, monkeypatch, argv,
+                                             env, message):
+    if env is not None:
+        monkeypatch.setenv("LOGIZONO_CAP", env)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: {message} is not an integer\n"
+
+
 @pytest.mark.parametrize("lm", ["0", "-3"])
 def test_lfsr_message_length_below_one_exits_usage(capsys, lm):
     rc, out, err = run(capsys, ["lfsr", "--lk", "8", "--lm", lm])

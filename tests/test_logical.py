@@ -149,16 +149,39 @@ def rank(cols):
     return len(span(cols)).bit_length() - 1
 
 
+def remix(rng, cols):
+    """The columns shuffled, each then XORed with an earlier one (which
+    keeps their span), and a few XORs of them appended."""
+    cols = cols[:]
+    rng.shuffle(cols)
+    for i in range(1, len(cols)):
+        cols[i] ^= cols[rng.randrange(i)]
+    return cols + [a ^ b for a, b in zip(cols, cols[1:3])]
+
+
 def test_basis_is_an_echelon_basis_of_the_span():
     rng = random.Random(0)
     for _ in range(200):
-        _, cols = random_columns(rng)
+        n, cols = random_columns(rng)
         basis = _basis(cols)
         leads = [g.bit_length() for g in basis]
         assert leads == sorted(set(leads), reverse=True), cols
         assert 0 not in leads, cols
         assert span(basis) == span(cols), cols
         assert len(basis) == rank(cols), cols
+        # reduced: no element holds another's leading bit, so the basis
+        # is the span's one reduced echelon basis
+        for g in basis:
+            assert [h >> (g.bit_length() - 1) & 1 for h in basis] == [
+                h == g for h in basis], cols
+        mixed = remix(rng, cols)
+        assert _basis(mixed) == basis, (cols, mixed)
+        # two zonotopes of one set reduce to one canonical form
+        c = rng.getrandbits(n)
+        shift = rng.choice(sorted(span(cols)))
+        a = lz_reduce(LogicalZonotope.from_bits(n, c, cols))
+        b = lz_reduce(LogicalZonotope.from_bits(n, c ^ shift, mixed))
+        assert (a.cbits, a.gbits) == (b.cbits, b.gbits), (cols, mixed)
 
 
 def test_contains_and_reduce_agree_with_enumeration():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -311,27 +312,71 @@ def test_exact_lane_matches_oracle_at_lane_boundaries(width, nbytes):
         assert_exact_lane_matches_oracle(model, horizon)
 
 
-def test_exact_records_split_var_sets_only_when_read(monkeypatch):
-    splits = []
-    split = reach_module._split
-
-    def counted(model, joint, packed):
-        splits.append(joint)
-        return split(model, joint, packed)
-
-    monkeypatch.setattr(reach_module, "_split", counted)
+@pytest.mark.parametrize("algebra, mode", [
+    ("explicit", "minkowski"), ("poly", "exact"), ("poly", "minkowski"),
+    ("logical", "minkowski")])
+def test_records_split_var_sets_only_when_read(monkeypatch, algebra, mode):
     model = intersection_model()
-    got = reach(model, 10, "poly", "exact")
-    assert got.fixpoint_at == 3
-    assert splits == []
     oracle = reach(model, 4, "explicit")
-    for k in range(11):
-        truth = oracle.record(min(k, 4))
-        assert got.record(k).var_sets == truth.var_sets
-    # records 0-2 split once each; record 3 and the records filled in
-    # after the fixpoint share a single split
-    assert len(splits) == 4
-    assert got.record(10).var_sets is got.record(3).var_sets
+    splits = []
+
+    class Counted(reach_module._Projections):
+        def __init__(self, split, model, state):
+            def counted(model, state):
+                splits.append(state)
+                return split(model, state)
+            super().__init__(counted, model, state)
+
+    monkeypatch.setattr(reach_module, "_Projections", Counted)
+    horizon = 4 if algebra == "explicit" else 10
+    got = reach(model, horizon, algebra, mode)
+    assert splits == []
+    for k in range(horizon + 1):
+        truth, sets = oracle.record(min(k, 4)).var_sets, got.record(k).var_sets
+        if algebra == "explicit" or mode == "exact":
+            assert sets == truth
+        else:
+            assert all(truth[n].bits <= sets[n].bits for n in truth)
+    if algebra == "explicit":
+        # the oracle takes no shortcut: one split per record
+        assert got.fixpoint_at == -1 and len(splits) == 5
+    else:
+        # records 0-2 split once each; record 3 and the records filled in
+        # after the fixpoint share a single split
+        assert got.fixpoint_at == 3 and len(splits) == 4
+        assert got.record(10).var_sets is got.record(3).var_sets
+
+
+def constant_inputs_per_step(model, horizon):
+    """A twin of model whose constant input sets are written out as
+    per-step lists, so a run of it never takes the fixpoint shortcut."""
+    return dataclasses.replace(model, input_vars=tuple(
+        dataclasses.replace(v, constant=(), per_step=(v.constant,) * horizon)
+        if v.constant else v for v in model.input_vars))
+
+
+@pytest.mark.parametrize("algebra, mode", [
+    ("poly", "minkowski"), ("logical", "minkowski")])
+def test_fixpoint_is_the_first_repeat_of_the_sets(algebra, mode):
+    rng = random.Random(41)
+    fixpoints = 0
+    for _ in range(150):
+        model, horizon = random_lane_model(rng)
+        got = reach(model, horizon, algebra, mode, cap=2**60)
+        twin = reach(constant_inputs_per_step(model, horizon), horizon,
+                     algebra, mode, cap=2**60)
+        assert twin.fixpoint_at == -1
+        want = -1
+        if all(v.constant for v in model.input_vars):
+            want = next((k for k in range(1, horizon + 1)
+                         if twin.record(k).var_sets
+                         == twin.record(k - 1).var_sets), -1)
+        assert got.fixpoint_at == want
+        assert got.sizes() == twin.sizes()
+        for a, b in zip(got.records, twin.records):
+            assert a.var_sets == b.var_sets
+        fixpoints += want >= 0
+    assert fixpoints >= 20
 
 
 @pytest.mark.parametrize("algebra, mode", [
