@@ -3,11 +3,13 @@
 Each step evaluates every update in model.order against the step's input
 sets (a primed reference reads the next-state value computed earlier in
 the same step) and records the joint size, the number of distinct
-concatenated state vectors, and the lane's state. Every record splits
-the state into per-variable sets when var_sets is first read. The sets
-hold packed ints; an ExplicitSet builds its .points, the BinaryVectors,
-only when they are first read. What each lane carries from one step to
-the next:
+concatenated state vectors, and the lane's state. The cap bounds each set
+a state holds: the joint set on the explicit and exact lanes, each
+variable's set on the others, which never build the joint one. Every
+record splits the state into per-variable sets when var_sets is first
+read. The sets hold packed ints; an ExplicitSet builds its .points, the
+BinaryVectors, only when they are first read. What each lane carries
+from one step to the next:
 
 - explicit: the oracle (explicit.reach_explicit) enumerates every
   (state, input) sample.
@@ -18,15 +20,18 @@ the next:
   the generator count and gives equal sets equal zonotopes. A record
   enumerates each zonotope as it is, and the joint size is the product
   of the set sizes.
-- poly, minkowski: one set of values, as ints, per variable. A step
-  folds each update over those sets: a gate is its pointwise image with
-  the operands ranging independently, which is what the pz_mink_* gates
-  compute. The image is built per value of the smaller operand and stops
-  once it holds every value of its width; by De Morgan each gate is an
-  AND, OR or XOR image of the operands or their complements. The
-  variables vary independently, so the joint size is the product of the
-  set sizes; pz_encode_points(record.var_sets[name].points) gives a
-  variable's polynomial logical zonotope.
+- poly, minkowski: one set of values per variable, an int bitmap (bit x
+  set when x is in the set) up to 12 bits and a frozenset of ints above.
+  A step folds each update over those sets: a gate is its pointwise
+  image with the operands ranging independently, which is what the
+  pz_mink_* gates compute. The image is built per value y of the smaller
+  operand and stops once it holds every value of its width; by De Morgan
+  each gate is an AND, OR or XOR image of the operands or their
+  complements, and NOT is the XOR image with all ones. On a bitmap the
+  image for one y is the larger operand's bitmap moved by one shift and
+  mask per bit of y. The variables vary independently, so the joint size
+  is the product of the set sizes. A variable's polynomial logical
+  zonotope is pz_encode_points(record.var_sets[name].points).
 - poly, exact: the set of reached joint vectors. A step packs it into one
   big int, one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that
   holds the joint width (more bytes above 64 bits), and applies each gate
@@ -56,7 +61,7 @@ import time
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .binvec import INT_GATES, Gate
 from .errors import DEFAULT_CAP, ModelError, check_cap
@@ -226,7 +231,8 @@ def _split_oracle(model, joint):
 
 def _reach_lane(model, horizon, algebra, mode, cap):
     # a lane: its initial state, step(model, state, k, cap) -> next state,
-    # size(state) -> joint size, split(model, state) -> {name: ExplicitSet}
+    # size(s) -> the number of points in one set of a state (the joint set,
+    # or one variable's), split(model, state) -> {name: ExplicitSet}
     if mode == "exact":
         state, step, size, split = (_exact_initial(model, cap), _exact_step,
                                     len, _split)
@@ -235,17 +241,17 @@ def _reach_lane(model, horizon, algebra, mode, cap):
                  for v in model.state_vars}
         step = _logical_step
         # reduced zonotopes: 2^gamma points each, enumerated as they are
-        size = lambda st: math.prod(1 << z.gamma for z in st.values())
+        size = lambda z: 1 << z.gamma
         split = lambda model, st: {
             name: lz.lz_points(z.dim, z.cbits, z.gbits, cap)
             for name, z in st.items()}
     else:
-        state = {v.name: frozenset(p.bits for p in v.init)
+        state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
                  for v in model.state_vars}
         step = _minkowski_step
-        size = lambda st: math.prod(map(len, st.values()))
+        size = lambda s: len(s) if isinstance(s, frozenset) else s.bit_count()
         split = lambda model, st: {
-            v.name: ex.ExplicitSet.from_bits(v.dim, st[v.name])
+            v.name: ex.ExplicitSet.from_bits(v.dim, _values(st[v.name]))
             for v in model.state_vars}
     records = [_record(model, split, size, state, 0, 0.0, cap)]
     constant = all(v.constant for v in model.input_vars)
@@ -265,15 +271,18 @@ def _reach_lane(model, horizon, algebra, mode, cap):
 
 
 def _record(model, split, size, state, step, elapsed, cap):
-    """Record of a lane's state: its joint size, checked against cap
-    before any set is built, and var_sets split off the state when first
-    read. A joint ExplicitSet state, the oracle's or the exact lane's, is
-    also the record's joint_set."""
-    total = size(state)
-    check_cap("joint set", total, cap, step)
+    """Record of a lane's state: the size of each set it holds, checked
+    against cap before any is enumerated, their product as the joint size,
+    and var_sets split off the state when first read. A joint ExplicitSet
+    state, the oracle's or the exact lane's, is its one set and also the
+    record's joint_set; the other lanes hold one set per variable."""
     joint = state if isinstance(state, ex.ExplicitSet) else None
-    return StepRecord(step, _Projections(split, model, state), total,
-                      elapsed, joint)
+    sets = {"joint set": joint} if joint is not None else {
+        f"set of {name}": s for name, s in state.items()}
+    for what, s in sets.items():
+        check_cap(what, size(s), cap, step)
+    return StepRecord(step, _Projections(split, model, state),
+                      math.prod(map(size, sets.values())), elapsed, joint)
 
 
 class _Projections(Mapping):
@@ -299,6 +308,39 @@ class _Projections(Mapping):
 
 # --- gates over sets of ints -----------------------------------------------
 
+_BITMAP_WIDTH = 12
+
+
+def _value_set(dim, values):
+    """The set of the given ints for a variable of width dim: up to
+    _BITMAP_WIDTH bits an int bitmap, bit x set when x is in the set (the
+    sum of the distinct powers 2^x); wider, where a bitmap would need 2^dim
+    bits, a frozenset."""
+    return (frozenset(values) if dim > _BITMAP_WIDTH
+            else sum({1 << x for x in values}))
+
+
+def _values(s):
+    """The ints in a set; a bitmap's come lowest first, as they are read."""
+    if isinstance(s, frozenset):
+        yield from s
+        return
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _set_ops(dim, cap, step):
+    """fold's const, not_ and gates over the sets of width dim; NOT is the
+    XOR image with the all-ones value."""
+    gates = (_bitmap_gates if dim <= _BITMAP_WIDTH else _set_gates)(
+        dim, cap, step)
+    return (lambda value: _value_set(dim, (value.bits,)),
+            partial(gates[Gate.XOR], _value_set(dim, ((1 << dim) - 1,))),
+            gates)
+
+
 # each gate as an AND, OR or XOR image and the number of operands to
 # complement first, by De Morgan: NAND is the OR of the complements, NOR
 # the AND of the complements, XNOR the XOR with one operand complemented
@@ -309,13 +351,16 @@ _IMAGES = {
 }
 
 
-def _set_gates(m, cap, step):
-    """The gates as pointwise images over sets of ints; the image's bound,
-    min(a·b, m + 1) values, is checked against cap before it is built.
+def _set_gates(dim, cap, step):
+    """The gates as pointwise images over sets of ints of width dim; the
+    image's bound, min(a·b, 2^dim) values, is checked against cap before
+    it is built.
 
     The image grows by one value of the smaller operand at a time and
-    stops once it holds all m + 1 values, since no pair can add more.
+    stops once it holds all 2^dim values, since no pair can add more.
     """
+    m = (1 << dim) - 1
+
     def image(method, flips, a, b):
         check_cap("gate image", min(len(a) * len(b), m + 1), cap, step)
         small, large = (a, b) if len(a) <= len(b) else (b, a)
@@ -329,6 +374,54 @@ def _set_gates(m, cap, step):
             if len(out) > m:
                 break
         return frozenset(out)
+    return {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}
+
+
+@cache
+def _masks(dim):
+    """(s, low, high) for each bit i < dim, s = 2^i: the bitmaps of the
+    x < 2^dim whose bit i is 0 and of those whose bit i is 1."""
+    full = (1 << (1 << dim)) - 1
+    return tuple((s, low, low << s) for s in (1 << i for i in range(dim))
+                 for low in [full // ((1 << 2 * s) - 1) * ((1 << s) - 1)])
+
+
+# {x op y : x in bitmap b} for one value y moves b once along each bit i of
+# y that changes x (a set bit for XOR and OR, a clear one for AND)
+_MOVES = {
+    "__xor__": (1, lambda b, s, low, high: (b & low) << s | (b & high) >> s),
+    "__and__": (0, lambda b, s, low, high: (b | b >> s) & low),
+    "__or__": (1, lambda b, s, low, high: (b | b << s) & high),
+}
+
+
+def _moved(b, y, method, masks):
+    on, move = _MOVES[method]
+    for s, low, high in masks:
+        if y & 1 == on:
+            b = move(b, s, low, high)
+        y >>= 1
+    return b
+
+
+def _bitmap_gates(dim, cap, step):
+    """The gates of _set_gates over bitmaps of width dim: an image is the
+    union of the larger operand moved by each value of the smaller one."""
+    m, masks = (1 << dim) - 1, _masks(dim)
+    full = (1 << (m + 1)) - 1
+
+    def image(method, flips, a, b):
+        na, nb = a.bit_count(), b.bit_count()
+        check_cap("gate image", min(na * nb, m + 1), cap, step)
+        small, large = (a, b) if na <= nb else (b, a)
+        if flips == 2:
+            large = _moved(large, m, "__xor__", masks)
+        out = 0
+        for y in _values(small):
+            out |= _moved(large, y ^ m if flips else y, method, masks)
+            if out == full:
+                break
+        return out
     return {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}
 
 
@@ -358,13 +451,13 @@ def _minkowski_step(model, state, k, cap):
     """
     env = dict(state)
     for var in model.input_vars:
-        env[var.name] = frozenset(p.bits for p in model.input_set(var, k))
+        env[var.name] = _value_set(
+            var.dim, (p.bits for p in model.input_set(var, k)))
+    ops = {dim: _set_ops(dim, cap, k + 1)
+           for dim in {v.dim for v in model.state_vars}}
     for name in model.order:
-        m = (1 << model.state(name).dim) - 1
         env[name + "'"] = fold(model.updates[name], env,
-                               lambda value: frozenset((value.bits,)),
-                               lambda a: frozenset({x ^ m for x in a}),
-                               _set_gates(m, cap, k + 1))
+                               *ops[model.state(name).dim])
     return {v.name: env[v.name + "'"] for v in model.state_vars}
 
 

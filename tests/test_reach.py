@@ -13,8 +13,8 @@ from logizono.cases import boolean10_model, intersection_model
 from logizono.errors import CapacityError, ModelError
 from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
-from logizono.reach import (_lane_bytes, _set_gates, joint_size,
-                            poly_joint_set, reach, reach_report)
+from logizono.reach import (_lane_bytes, _set_ops, _value_set, _values,
+                            joint_size, poly_joint_set, reach, reach_report)
 
 from conftest import FUNCS, GATES, random_lane_model
 
@@ -194,20 +194,23 @@ def test_logical_lane_checks_cap_before_enumerating():
 
 
 def test_minkowski_gate_checks_cap_before_building():
-    # 700 x 700 operand pairs of 30 bits: the image may hold 490000 values
-    bits = [format(v, "030b")
-            for v in random.Random(30).sample(range(2**30), 1400)]
-    model = parse_model({
-        "vars": [{"name": "x", "role": "state", "dim": 30,
-                  "init": bits[:700]},
-                 {"name": "u", "role": "input", "dim": 30,
-                  "set": bits[700:]}],
-        "updates": {"x": "x ^ u"},
-    })
-    with pytest.raises(CapacityError) as err:
-        reach(model, 1, "poly", "minkowski", cap=1000)
-    assert err.value.step == 1
-    assert "gate image at step 1 needs 490000 elements" in str(err.value)
+    # 700 x 700 operand pairs: a frozenset image may hold 490000 values of
+    # 30 bits, a bitmap image all 4096 values of 12 bits
+    for dim, bound in ((30, 490000), (12, 4096)):
+        bits = [format(v, f"0{dim}b")
+                for v in random.Random(30).sample(range(2**dim), 1400)]
+        model = parse_model({
+            "vars": [{"name": "x", "role": "state", "dim": dim,
+                      "init": bits[:700]},
+                     {"name": "u", "role": "input", "dim": dim,
+                      "set": bits[700:]}],
+            "updates": {"x": "x ^ u"},
+        })
+        with pytest.raises(CapacityError) as err:
+            reach(model, 1, "poly", "minkowski", cap=1000)
+        assert err.value.step == 1
+        assert f"gate image at step 1 needs {bound} elements" in str(
+            err.value)
 
 
 def test_negative_steps_rejected():
@@ -230,6 +233,12 @@ def test_joint_cap():
     model = parse_model(doc)
     with pytest.raises(CapacityError):
         reach(model, 1, "poly", "exact", cap=100)
+    # 256 joint states, 16 per variable: the lanes that never build the
+    # joint set check each variable's set alone
+    for algebra in ("logical", "poly"):
+        assert reach(model, 1, algebra, cap=100).sizes() == [256, 256]
+        with pytest.raises(CapacityError, match="set of x at step 0"):
+            reach(model, 1, algebra, cap=15)
 
 
 def test_reports_round_trip():
@@ -409,23 +418,51 @@ def minkowski_image(expr, env):
                             minkowski_image(expr.right, env), expr.kind)
 
 
+def assert_minkowski_lane_composes_images(model, horizon):
+    mink = reach(model, horizon, "poly", "minkowski", cap=2**60)
+    for k in range(horizon):
+        env = dict(mink.record(k).var_sets)
+        for var in model.input_vars:
+            env[var.name] = ex.ExplicitSet.from_points(
+                model.input_set(var, k))
+        for name in model.order:
+            env[name + "'"] = minkowski_image(model.updates[name], env)
+        got = mink.record(k + 1)
+        assert got.var_sets == {v.name: env[v.name + "'"]
+                                for v in model.state_vars}
+        assert got.joint_size == math.prod(
+            len(s) for s in got.var_sets.values())
+
+
 def test_minkowski_lane_composes_pointwise_images():
     rng = random.Random(23)
     for _ in range(60):
-        model, horizon = random_lane_model(rng)
-        mink = reach(model, horizon, "poly", "minkowski", cap=2**60)
-        for k in range(horizon):
-            env = dict(mink.record(k).var_sets)
-            for var in model.input_vars:
-                env[var.name] = ex.ExplicitSet.from_points(
-                    model.input_set(var, k))
-            for name in model.order:
-                env[name + "'"] = minkowski_image(model.updates[name], env)
-            got = mink.record(k + 1)
-            assert got.var_sets == {v.name: env[v.name + "'"]
-                                    for v in model.state_vars}
-            assert got.joint_size == math.prod(
-                len(s) for s in got.var_sets.values())
+        assert_minkowski_lane_composes_images(*random_lane_model(rng))
+
+
+def test_minkowski_lane_across_the_bitmap_width():
+    # 3 and 12 bits hold bitmaps, 13 and 40 bits frozensets
+    doc = {"vars": [], "updates": {
+        "a": "NAND(a, !u3) ^ a",
+        "b": "NOR(b, u12) | XNOR(!b, u12)",
+        "c": "XNOR(c, u13) & NAND(c, !u13)",
+        "d": "NOR(d, u40) ^ XNOR(!d, u40)",
+    }}
+    rng = random.Random(40)
+
+    def vectors(dim, count):
+        return [format(rng.getrandbits(dim), f"0{dim}b")
+                for _ in range(count)]
+
+    for name, dim in (("a", 3), ("b", 12), ("c", 13), ("d", 40)):
+        doc["vars"] += [
+            {"name": name, "role": "state", "dim": dim,
+             "init": vectors(dim, 3)},
+            {"name": f"u{dim}", "role": "input", "dim": dim,
+             "set": vectors(dim, 2)}]
+    model = parse_model(doc)
+    assert {v.dim for v in model.state_vars} == {3, 12, 13, 40}
+    assert_minkowski_lane_composes_images(model, 3)
 
 
 def gate_operands(rng, width, full):
@@ -440,24 +477,29 @@ def gate_operands(rng, width, full):
     return [rng.sample(range(space), n) for n in sizes]
 
 
-@pytest.mark.parametrize("width", [*range(1, 13), 30])
+# bitmaps up to 12 bits, frozensets at 13 and 30
+@pytest.mark.parametrize("width", [*range(1, 14), 30])
 def test_set_gates_match_oracle_images(width):
     rng = random.Random(width)
     m = (1 << width) - 1
-    gates = _set_gates(m, 2**40, 1)
+    _, not_, gates = _set_ops(width, 2**40, 1)
     saturated = 0
     for trial in range(6):
-        a, b = gate_operands(rng, width, width <= 12 and trial == 0)
+        a, b = gate_operands(rng, width, width <= 13 and trial == 0)
         for x, y in ((a, b), (b, a)):
+            ex_x = ex.ExplicitSet.from_bits(width, x)
+            assert set(_values(not_(_value_set(width, x)))) == \
+                ex.set_not(ex_x).bits
             for gate in Gate:
-                got = gates[gate](frozenset(x), frozenset(y))
-                want = ex.set_minkowski(ex.ExplicitSet.from_bits(width, x),
+                got = set(_values(gates[gate](_value_set(width, x),
+                                              _value_set(width, y))))
+                want = ex.set_minkowski(ex_x,
                                         ex.ExplicitSet.from_bits(width, y),
                                         gate)
                 assert got == want.bits, (gate, x, y)
                 saturated += len(got) == m + 1
     # XOR and XNOR with a full operand always fill the image
-    assert saturated >= 4 if width <= 12 else saturated == 0
+    assert saturated >= 4 if width <= 13 else saturated == 0
 
 
 class CountingValues:
@@ -476,10 +518,10 @@ class CountingValues:
             yield v
 
 
-def test_set_gate_image_stops_once_full():
-    m = (1 << 10) - 1
+def test_set_gate_image_stops_once_full(monkeypatch):
+    m = (1 << 13) - 1
     full = frozenset(range(m + 1))
-    gates = _set_gates(m, 2**40, 1)
+    gates = _set_ops(13, 2**40, 1)[2]
     for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
         small = CountingValues([3, 5, 9])
         assert gates[Gate.XOR](*order(small, full)) == full
@@ -489,6 +531,22 @@ def test_set_gate_image_stops_once_full():
         wide = CountingValues(range(m + 1))
         assert gates[Gate.XNOR](*order(frozenset({3, 5, 9}), wide)) == full
         assert wide.read == m + 1
+    # on a bitmap, XOR with a full operand moves it by one value and stops
+    moves = []
+    moved = reach_module._moved
+
+    def counted(b, y, method, masks):
+        moves.append(y)
+        return moved(b, y, method, masks)
+
+    monkeypatch.setattr(reach_module, "_moved", counted)
+    gates = _set_ops(10, 2**40, 1)[2]
+    full = (1 << 2**10) - 1
+    for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
+        moves.clear()
+        assert gates[Gate.XOR](*order(_value_set(10, [3, 5, 9]), full)) \
+            == full
+        assert moves == [3]
 
 
 @pytest.mark.parametrize("mode", ["exact", "minkowski"])
