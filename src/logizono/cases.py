@@ -5,7 +5,6 @@ over per-bit key sets."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .binvec import BinaryVector
@@ -108,8 +107,8 @@ class LfsrSpec:
             raise ValueError(f"register length {self.lk}: at least 2 cells")
         if self.lm < 1:
             raise ValueError(f"message length {self.lm}: at least 1 bit")
-        if not self.out_taps:
-            raise ValueError("output taps must be non-empty")
+        if not (self.taps and self.out_taps):
+            raise ValueError("feedback and output taps must be non-empty")
         for t in self.taps + self.out_taps:
             if not 1 <= t <= self.lk:
                 raise ValueError(f"tap {t} outside 1..{self.lk}")
@@ -124,26 +123,27 @@ def lfsr_keystream(spec, key, length=None):
     """Clock the register and collect the output bit per clock.
 
     Cell 1 receives the feedback XOR; cell lk shifts out. Works over any
-    values supporting ^, so concrete 0/1 bits and 1-bit logical zonotopes
-    behave identically. Returns a list of length spec.lm (or `length`).
+    values supporting ^: on concrete 0/1 bits it gives the keystream, and
+    on the one-hot ints 1 << i it gives each stream bit's key-bit mask,
+    since XOR is linear. Returns a list of length spec.lm (or `length`).
     """
-    length = spec.lm if length is None else length
+    length = spec.lm if length is None else max(length, 0)
     if len(key) != spec.lk:
         raise ValueError(f"key width {len(key)} != {spec.lk}")
-    cells = deque(key)  # cells[0] is A[1]
-    out = []
-    for _ in range(length):
-        bit = None
-        for t in spec.out_taps:
-            v = cells[t - 1]
-            bit = v if bit is None else bit ^ v
-        fb = None
-        for t in spec.taps:
-            v = cells[t - 1]
-            fb = v if fb is None else fb ^ v
-        out.append(bit)
-        cells.pop()
-        cells.appendleft(fb)
+    lk = spec.lk
+    # the register as one sequence: cell j at clock k is seq[k + lk - j],
+    # and each clock appends seq[n], the XOR of seq[n - t] over the taps
+    seq = list(key)[::-1]
+    tap0, *taps = spec.taps
+    for n in range(lk, lk + length):
+        fb = seq[n - tap0]
+        for t in taps:
+            fb ^= seq[n - t]
+        seq.append(fb)
+    out0, *outs = [lk - t for t in spec.out_taps]
+    out = seq[out0:out0 + length]
+    for o in outs:
+        out = [a ^ b for a, b in zip(out, seq[o:o + length])]
     return out
 
 
@@ -153,38 +153,6 @@ def lfsr_encrypt(spec, key, message):
     return [m ^ s for m, s in zip(message, stream)]
 
 
-class AffineBit:
-    """A 1-bit set: a constant XORed with a span of free key bits.
-
-    This is a 1-bit logical zonotope whose generators are the free key
-    bits touching the value, kept as a bitmask so repeated contributions
-    cancel exactly under XOR. The represented set is {const} when the
-    mask is empty and {0, 1} otherwise.
-    """
-
-    __slots__ = ("const", "mask")
-
-    def __init__(self, const, mask=0):
-        self.const = const & 1
-        self.mask = mask
-
-    def __xor__(self, other):
-        if isinstance(other, AffineBit):
-            return AffineBit(self.const ^ other.const, self.mask ^ other.mask)
-        return AffineBit(self.const ^ (other & 1), self.mask)
-
-    __rxor__ = __xor__
-
-    def contains(self, bit):
-        return bool(self.mask) or self.const == bit
-
-
-def key_bit_sets(bits):
-    """Per-bit AffineBits from a list of 0, 1, or None (meaning {0, 1})."""
-    return [AffineBit(0, 1 << i) if b is None else AffineBit(b)
-            for i, b in enumerate(bits)]
-
-
 def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     """Exhaustive key search over per-bit key sets.
 
@@ -192,12 +160,13 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     remaining bit j is tentatively fixed to 0 while bits j+1.. stay the
     full set {0, 1}; if the cipher-bit sets generated under that
     assumption fail to contain the observed ciphertext, bit j must be 1.
-    XOR is exact over these sets, so the keystream is built once with every
-    key bit free: bit i is the parity of mask_i & key, a single value once
-    the highest key bit in mask_i is fixed and {0, 1} before. Step j checks
-    only the bits it fixes, each one int parity against m_i ^ c_i. A
-    candidate only survives if re-encrypting the message with the fully
-    resolved key reproduces the ciphertext exactly.
+    XOR is exact over these sets, so the register is clocked once, on the
+    one-hot key masks 1 << i: stream bit i is the parity of mask_i & key,
+    a single value once the highest key bit in mask_i is fixed and {0, 1}
+    before. Step j checks only the bits it fixes, each one int parity
+    against m_i ^ c_i. A failed check reads no key bit above its step, so
+    only a candidate that passed every check can reproduce the
+    ciphertext; that candidate alone is re-encrypted to confirm it.
     """
     message = list(message)
     cipher = list(cipher)
@@ -206,13 +175,16 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     # at_step[j]: (mask_i, m_i ^ c_i) of the stream bits whose highest key
     # bit is j, fixed at step j; step 2 also takes those below bit 2
     at_step = [[] for _ in range(spec.lk + 1)]
-    stream = lfsr_keystream(spec, key_bit_sets([None] * spec.lk), len(message))
-    for s, m, c in zip(stream, message, cipher):
-        at_step[max(s.mask.bit_length() - 1, 2)].append((s.mask, m ^ c))
+    one_hot = [1 << i for i in range(spec.lk)]
+    for mask, m, c in zip(lfsr_keystream(spec, one_hot, len(message)),
+                          message, cipher):
+        at_step[max(mask.bit_length() - 1, 2)].append((mask, m ^ c))
 
     def holds(j, key):
-        return all((mask & key).bit_count() & 1 == mc
-                   for mask, mc in at_step[j])
+        for mask, mc in at_step[j]:
+            if (mask & key).bit_count() & 1 != mc:
+                return False
+        return True
 
     for first_two in range(4):
         bits = [None] * spec.lk
@@ -228,7 +200,7 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
                 ok = ok and holds(j, key)
             if instrument is not None:
                 instrument(first_two, j, list(bits))
-        if lfsr_encrypt(spec, bits, message) == cipher:
+        if ok and lfsr_encrypt(spec, bits, message) == cipher:
             return BinaryVector.from_bits(bits)
     raise SearchFailure("no key reproduces the ciphertext; check the taps "
                         "and message length")

@@ -110,7 +110,7 @@ def cmd_lfsr(args):
     ok = list(recovered) == key
     print(f"# seed={args.seed}")
     print(f"recovered={'true' if ok else 'false'} "
-          f"time_seconds={elapsed:.3f} lk={lk} lm={lm}")
+          f"time_seconds={elapsed:.6f} lk={lk} lm={lm}")
     if args.key_hex is not None and ok:
         print(f"key=0x{int(''.join(map(str, recovered)), 2):X}")
     return EXIT_OK if ok else EXIT_FAIL

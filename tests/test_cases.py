@@ -3,9 +3,9 @@ import random
 import pytest
 
 from logizono.binvec import BinaryVector
-from logizono.cases import (AffineBit, LfsrSpec, boolean10_document,
-                            boolean10_model, default_taps,
-                            intersection_model, key_bit_sets, lfsr_encrypt,
+from logizono import cases
+from logizono.cases import (LfsrSpec, boolean10_document, boolean10_model,
+                            default_taps, intersection_model, lfsr_encrypt,
                             lfsr_keystream, lfsr_recover_key)
 from logizono.errors import SearchFailure
 from logizono.reach import reach
@@ -99,6 +99,38 @@ def reference_keystream(spec, key):
     return out
 
 
+class AffineBit:
+    """A 1-bit set: a constant XORed with a span of free key bits.
+
+    This is a 1-bit logical zonotope whose generators are the free key
+    bits touching the value, kept as a bitmask so repeated contributions
+    cancel exactly under XOR. The represented set is {const} when the
+    mask is empty and {0, 1} otherwise.
+    """
+
+    __slots__ = ("const", "mask")
+
+    def __init__(self, const, mask=0):
+        self.const = const & 1
+        self.mask = mask
+
+    def __xor__(self, other):
+        if isinstance(other, AffineBit):
+            return AffineBit(self.const ^ other.const, self.mask ^ other.mask)
+        return AffineBit(self.const ^ (other & 1), self.mask)
+
+    __rxor__ = __xor__
+
+    def contains(self, bit):
+        return bool(self.mask) or self.const == bit
+
+
+def key_bit_sets(bits):
+    """Per-bit AffineBits from a list of 0, 1, or None (meaning {0, 1})."""
+    return [AffineBit(0, 1 << i) if b is None else AffineBit(b)
+            for i, b in enumerate(bits)]
+
+
 def test_keystream_matches_reference():
     rng = random.Random(9)
     for lk in (8, 16, 60):
@@ -119,8 +151,9 @@ def test_default_taps():
 def test_spec_validation():
     with pytest.raises(ValueError):
         LfsrSpec(8, (9,), (8,), 16)
-    with pytest.raises(ValueError):
-        LfsrSpec(8, (8,), (), 16)
+    for taps, out_taps in (((8,), ()), ((), (8,))):
+        with pytest.raises(ValueError, match="taps must be non-empty"):
+            LfsrSpec(8, taps, out_taps, 16)
     for lm in (0, -3):
         with pytest.raises(ValueError, match="message length"):
             LfsrSpec(8, (8,), (8,), lm)
@@ -245,3 +278,52 @@ def test_key_recovery_matches_per_bit_reference():
         want = _search_outcome(reference_recover_key, spec, message, cipher)
         assert _search_outcome(lfsr_recover_key, spec, message,
                                cipher) == want, spec
+
+
+def test_one_hot_stream_is_the_symbolic_stream():
+    rng = random.Random(14)
+    specs = [LfsrSpec(10, default_taps(10), (10, 10), 20),
+             LfsrSpec.scaled(16, lm=10), LfsrSpec()]
+    # random taps, possibly repeated, and messages shorter than the key
+    for _ in range(40):
+        lk = rng.randint(2, 24)
+        taps = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 4)))
+        outs = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 3)))
+        specs.append(LfsrSpec(lk, taps, outs, rng.randint(1, 2 * lk + 4)))
+    for spec in specs:
+        masks = lfsr_keystream(spec, [1 << i for i in range(spec.lk)])
+        symbolic = lfsr_keystream(spec, key_bit_sets([None] * spec.lk))
+        assert all(s.const == 0 for s in symbolic)
+        assert masks == [s.mask for s in symbolic], spec
+        for _ in range(5):
+            key = [rng.getrandbits(1) for _ in range(spec.lk)]
+            packed = sum(b << i for i, b in enumerate(key))
+            assert [(mask & packed).bit_count() & 1 for mask in masks] == \
+                lfsr_keystream(spec, key), spec
+
+
+def test_key_recovery_re_encrypts_only_the_surviving_candidate(monkeypatch):
+    encrypt = cases.lfsr_encrypt
+    encrypts = []
+    monkeypatch.setattr(cases, "lfsr_encrypt",
+                        lambda *args: encrypts.append(args) or encrypt(*args))
+    # a key starting with 11 fails a check in each of the three branches
+    # tried before its own, so only its own candidate is re-encrypted
+    rng = random.Random(60)
+    spec = LfsrSpec()
+    key = [1, 1] + [rng.getrandbits(1) for _ in range(58)]
+    message = [rng.getrandbits(1) for _ in range(spec.lm)]
+    cipher = encrypt(spec, key, message)
+    branches = set()
+    recovered = lfsr_recover_key(
+        spec, message, cipher,
+        instrument=lambda first_two, j, bits: branches.add(first_two))
+    assert list(recovered) == key
+    assert len(encrypts) == 1
+    assert branches == {0, 1, 2, 3}
+    # a flipped cipher bit fails a check in every branch
+    encrypts.clear()
+    cipher[3] ^= 1
+    with pytest.raises(SearchFailure):
+        lfsr_recover_key(spec, message, cipher)
+    assert encrypts == []

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 from unittest import mock
 
 import pytest
@@ -172,6 +173,8 @@ def test_lfsr_round_trip(capsys):
     assert "# seed=0" in out
     assert "recovered=true" in out
     assert "lk=12 lm=24" in out
+    # six decimals, as in reach's CSV: a sub-millisecond search is not 0.000
+    assert re.search(r" time_seconds=\d+\.\d{6} ", out)
 
 
 def test_lfsr_key_hex(capsys):
