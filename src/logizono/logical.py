@@ -2,7 +2,9 @@
 
 The represented set is { c xor (xor_i g_i b_i) : b in {0,1}^gamma }.
 XOR, NOT and XNOR are exact in generator space; AND (and the gates
-derived from it) over-approximate, never missing a point.
+derived from it) over-approximate, never missing a point. XNOR is XOR
+with the center flipped; NAND, OR and NOR are each one AND, on the
+operands or their complements.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ class LogicalZonotope:
         return z
 
     def _set(self, dim, cbits, gbits):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cbits", cbits)
-        object.__setattr__(self, "gbits", gbits)
+        self.__dict__.update(dim=dim, cbits=cbits, gbits=gbits)
 
     @cached_property
     def c(self):
@@ -76,20 +76,33 @@ def lz_xor(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
 
 
 def lz_not(a: LogicalZonotope) -> LogicalZonotope:
-    return LogicalZonotope.from_bits(a.dim, a.cbits ^ ((1 << a.dim) - 1),
-                                     a.gbits)
+    return LogicalZonotope.from_bits(a.dim, a.cbits ^ _ones(a), a.gbits)
 
 
 def lz_xnor(a, b):
-    return lz_not(lz_xor(a, b))
+    """XOR with the center flipped."""
+    _check(a, b)
+    return LogicalZonotope.from_bits(a.dim, a.cbits ^ b.cbits ^ _ones(a),
+                                     a.gbits + b.gbits)
+
+
+def _ones(a):
+    return (1 << a.dim) - 1
+
+
+def _and(a, b, flip_in, flip_out):
+    """AND with both centers XORed with flip_in and the result's with
+    flip_out: NOT touches only centers, so with all-ones masks this is De
+    Morgan's NAND (0, ones), OR (ones, ones) and NOR (ones, 0)."""
+    _check(a, b)
+    ac, bc = a.cbits ^ flip_in, b.cbits ^ flip_in
+    return LogicalZonotope.from_bits(a.dim, (ac & bc) ^ flip_out,
+                                     and_columns(ac, a.gbits, bc, b.gbits))
 
 
 def lz_and(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
     """Over-approximating AND; the result contains every pointwise product."""
-    _check(a, b)
-    return LogicalZonotope.from_bits(
-        a.dim, a.cbits & b.cbits,
-        and_columns(a.cbits, a.gbits, b.cbits, b.gbits))
+    return _and(a, b, 0, 0)
 
 
 def and_columns(ac, ag, bc, bg):
@@ -102,15 +115,15 @@ def and_columns(ac, ag, bc, bg):
 
 
 def lz_nand(a, b):
-    return lz_not(lz_and(a, b))
+    return _and(a, b, 0, _ones(a))
 
 
 def lz_or(a, b):
-    return lz_nand(lz_not(a), lz_not(b))
+    return _and(a, b, _ones(a), _ones(a))
 
 
 def lz_nor(a, b):
-    return lz_not(lz_or(a, b))
+    return _and(a, b, _ones(a), 0)
 
 
 def lz_enclose_points(points) -> LogicalZonotope:
@@ -150,10 +163,7 @@ def lz_contains(a: LogicalZonotope, point: BinaryVector) -> bool:
     if a.dim != point.dim:
         raise DimensionError(f"dim {a.dim} vs {point.dim}")
     # point is in the set iff point xor c lies in the span of the generators
-    x = point.bits ^ a.cbits
-    for g in _basis(a.gbits):
-        x = min(x, x ^ g)
-    return x == 0
+    return _reduced(point.bits ^ a.cbits, _basis(a.gbits)) == 0
 
 
 def lz_compact(a: LogicalZonotope) -> LogicalZonotope:
@@ -169,19 +179,17 @@ def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
     generators) and the center reduced against it. Zonotopes of one set
     get equal cbits and gbits."""
     basis = _basis(a.gbits)
-    c = a.cbits
-    for g in basis:
-        c = min(c, c ^ g)
-    return LogicalZonotope.from_bits(a.dim, c, basis)
+    return LogicalZonotope.from_bits(a.dim, _reduced(a.cbits, basis), basis)
 
 
 def _basis(columns):
     """The reduced echelon basis of the span of the packed int columns,
     largest leading bit first: no element holds another's leading bit.
-    Elimination keeps one element per leading bit, then one ascending
-    pass clears each element's bits at the smaller ones' leading bits."""
+    Elimination skips repeated columns, which always reduce to zero, and
+    keeps one element per leading bit; then one ascending pass clears
+    each element's bits at the smaller ones' leading bits."""
     lead = {}  # bit_length() -> the basis element with that leading bit
-    for x in columns:
+    for x in dict.fromkeys(columns):
         while x:
             n = x.bit_length()
             if n not in lead:
@@ -190,8 +198,13 @@ def _basis(columns):
             x ^= lead[n]
     basis = []
     for n in sorted(lead):
-        x = lead[n]
-        for g in basis:
-            x = min(x, x ^ g)
-        basis.append(x)
+        basis.append(_reduced(lead[n], basis))
     return basis[::-1]
+
+
+def _reduced(x, basis):
+    """x XORed with each echelon basis element that lowers it, in turn."""
+    for g in basis:
+        if x ^ g < x:
+            x ^= g
+    return x

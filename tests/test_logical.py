@@ -218,6 +218,31 @@ def test_mismatched_widths_raise():
         LogicalZonotope(bv([0, 1]), BinaryMatrix(3, (bv([0, 1, 1]),)))
     with pytest.raises(DimensionError):
         lz_enclose_points([bv([0, 1]), bv([0, 1, 1])])
-    with pytest.raises(DimensionError):
-        lz_and(LogicalZonotope.singleton(bv([0])),
-               LogicalZonotope.singleton(bv([0, 0])))
+    for gate in (*EXACT.values(), *SOUND.values()):
+        with pytest.raises(DimensionError):
+            gate(LogicalZonotope.singleton(bv([0])),
+                 LogicalZonotope.singleton(bv([0, 0])))
+
+
+def test_derived_gates_are_their_de_morgan_compositions():
+    # each derived gate is built in one construction, and must give the
+    # very zonotope of its composition: same center, same columns in the
+    # same order
+    composed = {
+        lz_nand: lambda a, b: lz_not(lz_and(a, b)),
+        lz_or: lambda a, b: lz_not(lz_and(lz_not(a), lz_not(b))),
+        lz_nor: lambda a, b: lz_and(lz_not(a), lz_not(b)),
+        lz_xnor: lambda a, b: lz_not(lz_xor(a, b)),
+    }
+    rng = random.Random(2)
+    for _ in range(300):
+        n, cols = random_columns(rng)
+        other = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
+        other += [0] * rng.randint(0, 1)
+        a = LogicalZonotope.from_bits(n, rng.getrandbits(n), cols)
+        b = LogicalZonotope.from_bits(n, rng.getrandbits(n), other)
+        for gate, want in composed.items():
+            for x, y in ((a, b), (b, a)):
+                got, ref = gate(x, y), want(x, y)
+                assert (got.dim, got.cbits, got.gbits) == (
+                    ref.dim, ref.cbits, ref.gbits), (gate, cols, other)

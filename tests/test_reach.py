@@ -586,6 +586,22 @@ def test_logical_records_enumerate_without_reducing(monkeypatch):
                      "lz_reduce": n_state + 8 * (n_input + n_state)}
 
 
+def test_logical_lane_sizes_are_pinned():
+    # the logical lane may return any sound superset, so only these
+    # literal sizes catch a looser gate
+    want = {
+        0: [8, 4096, 4194304, 4194304, 67108864, 33554432, 67108864,
+            33554432, 134217728],
+        2: [8, 2048, 2097152, 67108864, 67108864, 134217728, 33554432,
+            33554432, 33554432],
+        6: [8, 16384, 134217728, 67108864, 67108864, 134217728, 16777216,
+            33554432, 33554432],
+    }
+    for seed, sizes in want.items():
+        got = reach(boolean10_model(seed), 8, "logical", cap=2**40)
+        assert got.sizes() == sizes, seed
+
+
 def test_logical_lane_builds_no_vectors(built):
     # each logical zonotope is held as packed ints, gates and records
     # alike; BinaryVectors are built only when a caller reads .c, .G or
