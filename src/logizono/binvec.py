@@ -22,6 +22,15 @@ class Gate(enum.Enum):
     NOR = "nor"
 
 
+# each gate as (base, flip_in, flip_out): AND or XOR over both operands
+# complemented when flip_in, with the result complemented when flip_out
+DE_MORGAN = {
+    Gate.XOR: (Gate.XOR, 0, 0), Gate.AND: (Gate.AND, 0, 0),
+    Gate.OR: (Gate.AND, 1, 1), Gate.XNOR: (Gate.XOR, 0, 1),
+    Gate.NAND: (Gate.AND, 0, 1), Gate.NOR: (Gate.AND, 1, 0),
+}
+
+
 def _mask(dim):
     return (1 << dim) - 1
 
@@ -79,8 +88,9 @@ class BinaryVector:
         return self.bits == 0
 
 
-# the gates over packed ints, one bitwise operation each; m is the all-ones
-# mask of the operands' width (in every lane, when an int packs many lanes)
+# the gates over packed ints, one bitwise operation each, with a native OR
+# rather than DE_MORGAN's AND of complements; m is the all-ones mask of the
+# operands' width (in every lane, when an int packs many lanes)
 INT_GATES = {
     Gate.AND: lambda a, b, m: a & b,
     Gate.XOR: lambda a, b, m: a ^ b,

@@ -85,11 +85,10 @@ def boolean10_model(seed, steps=8) -> Model:
 
 def default_taps(lk):
     """Feedback taps for a register of lk cells, scaled from the 60-bit
-    reference layout {60, 59, 58, 14}."""
-    if lk == 60:
-        return (60, 59, 58, 14)
+    reference layout {60, 59, 58, 14}; a register of fewer than 3 cells
+    keeps the taps it has."""
     low = max(1, round(14 * lk / 60))
-    taps = [lk, lk - 1, lk - 2]
+    taps = [t for t in (lk, lk - 1, lk - 2) if t >= 1]
     if low not in taps:
         taps.append(low)
     return tuple(taps)

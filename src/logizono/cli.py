@@ -18,11 +18,11 @@ import sys
 import time
 from importlib import resources
 
-from .binvec import BinaryMatrix, BinaryVector, Gate
+from .binvec import BinaryMatrix, BinaryVector, Gate, bv_op
 from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
-from .model import (_LZ_GATES, _PZ_MINK, _field, _matrix, _typed, _vector,
-                    load_model, read_json)
+from .model import (_LZ_GATES, _PZ_EXACT, _PZ_MINK, _field, _matrix, _typed,
+                    _vector, load_model, read_json)
 from .reach import reach, reach_report
 
 EXIT_OK = 0
@@ -143,12 +143,16 @@ def cmd_selftest(args):
         b = _random_pz(rng, n)
         la = _random_lz(rng, n)
         lb = _random_lz(rng, n)
+        sa = pz.pz_evaluate(a)
         for gate in Gate:
-            want = ex.set_minkowski(pz.pz_evaluate(a), pz.pz_evaluate(b),
-                                    gate)
-            got = pz.pz_evaluate(_PZ_MINK[gate](a, b))
-            if got != want:
-                failures += 1
+            # a and b have distinct factors, so the exact gate is also
+            # the pointwise image; a shared operand gives {g(x, x)}
+            want = ex.set_minkowski(sa, pz.pz_evaluate(b), gate)
+            same = ex.ExplicitSet.from_points(bv_op(x, x, gate) for x in sa)
+            for got, image in ((_PZ_MINK[gate](a, b), want),
+                               (_PZ_EXACT[gate](a, b), want),
+                               (_PZ_EXACT[gate](a, a), same)):
+                failures += pz.pz_evaluate(got) != image
             lwant = ex.set_minkowski(lz.lz_evaluate(la), lz.lz_evaluate(lb),
                                      gate)
             lgot = lz.lz_evaluate(_LZ_GATES[gate](la, lb))

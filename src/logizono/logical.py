@@ -2,8 +2,9 @@
 
 The represented set is { c xor (xor_i g_i b_i) : b in {0,1}^gamma }.
 XOR, NOT and XNOR are exact in generator space; AND (and the gates
-derived from it) over-approximate, never missing a point. XNOR is XOR
-with the center flipped; NAND, OR and NOR are each one AND, on the
+derived from it) over-approximate, never missing a point. Each gate is
+built from its binvec.DE_MORGAN entry in one construction: XNOR is XOR
+with the center flipped, and NAND, OR and NOR are each one AND, on the
 operands or their complements.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
-from .binvec import BinaryMatrix, BinaryVector
+from .binvec import DE_MORGAN, BinaryMatrix, BinaryVector, Gate
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
 
@@ -64,45 +66,12 @@ class LogicalZonotope:
         return len(self.gbits)
 
 
-def _check(a, b):
-    if a.dim != b.dim:
-        raise DimensionError(f"dim {a.dim} vs {b.dim}")
-
-
-def lz_xor(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
-    _check(a, b)
-    return LogicalZonotope.from_bits(a.dim, a.cbits ^ b.cbits,
-                                     a.gbits + b.gbits)
-
-
 def lz_not(a: LogicalZonotope) -> LogicalZonotope:
     return LogicalZonotope.from_bits(a.dim, a.cbits ^ _ones(a), a.gbits)
 
 
-def lz_xnor(a, b):
-    """XOR with the center flipped."""
-    _check(a, b)
-    return LogicalZonotope.from_bits(a.dim, a.cbits ^ b.cbits ^ _ones(a),
-                                     a.gbits + b.gbits)
-
-
 def _ones(a):
     return (1 << a.dim) - 1
-
-
-def _and(a, b, flip_in, flip_out):
-    """AND with both centers XORed with flip_in and the result's with
-    flip_out: NOT touches only centers, so with all-ones masks this is De
-    Morgan's NAND (0, ones), OR (ones, ones) and NOR (ones, 0)."""
-    _check(a, b)
-    ac, bc = a.cbits ^ flip_in, b.cbits ^ flip_in
-    return LogicalZonotope.from_bits(a.dim, (ac & bc) ^ flip_out,
-                                     and_columns(ac, a.gbits, bc, b.gbits))
-
-
-def lz_and(a: LogicalZonotope, b: LogicalZonotope) -> LogicalZonotope:
-    """Over-approximating AND; the result contains every pointwise product."""
-    return _and(a, b, 0, 0)
 
 
 def and_columns(ac, ag, bc, bg):
@@ -114,16 +83,36 @@ def and_columns(ac, ag, bc, bg):
             + [g1 & g2 for g1 in ag for g2 in bg])
 
 
-def lz_nand(a, b):
-    return _and(a, b, 0, _ones(a))
+def _check(a, b):
+    if a.dim != b.dim:
+        raise DimensionError(f"dim {a.dim} vs {b.dim}")
 
 
-def lz_or(a, b):
-    return _and(a, b, _ones(a), _ones(a))
+def _gate(base, flip_in, flip_out):
+    """DE_MORGAN's entry (base, flip_in, flip_out) in one construction: a
+    complement XORs a center with all ones, and cancels on both operands
+    of XOR. XOR and XNOR are exact; AND, NAND, OR and NOR over-approximate,
+    the result containing every pointwise product."""
+    if base is Gate.XOR:
+        def gate(a, b):
+            _check(a, b)
+            c = a.cbits ^ b.cbits
+            return LogicalZonotope.from_bits(
+                a.dim, c ^ _ones(a) if flip_out else c, a.gbits + b.gbits)
+        return gate
+
+    def gate(a, b):
+        _check(a, b)
+        ones = _ones(a)
+        ac, bc = a.cbits ^ ones * flip_in, b.cbits ^ ones * flip_in
+        return LogicalZonotope.from_bits(a.dim, (ac & bc) ^ ones * flip_out,
+                                         and_columns(ac, a.gbits, bc, b.gbits))
+    return gate
 
 
-def lz_nor(a, b):
-    return _and(a, b, _ones(a), 0)
+GATES = {gate: _gate(*DE_MORGAN[gate]) for gate in Gate}
+lz_xor, lz_and, lz_or, lz_xnor, lz_nand, lz_nor = itemgetter(
+    Gate.XOR, Gate.AND, Gate.OR, Gate.XNOR, Gate.NAND, Gate.NOR)(GATES)
 
 
 def lz_enclose_points(points) -> LogicalZonotope:

@@ -434,22 +434,9 @@ def eval_concrete(expr, env):
     return fold(expr, env, lambda value: value, bv_not, _BV_GATES)
 
 
-_LZ_GATES = {
-    Gate.XOR: lz.lz_xor, Gate.AND: lz.lz_and, Gate.OR: lz.lz_or,
-    Gate.XNOR: lz.lz_xnor, Gate.NAND: lz.lz_nand, Gate.NOR: lz.lz_nor,
-}
-
-_PZ_MINK = {
-    Gate.XOR: pz.pz_mink_xor, Gate.AND: pz.pz_mink_and,
-    Gate.OR: pz.pz_mink_or, Gate.XNOR: pz.pz_mink_xnor,
-    Gate.NAND: pz.pz_mink_nand, Gate.NOR: pz.pz_mink_nor,
-}
-
-_PZ_EXACT = {
-    Gate.XOR: pz.pz_exact_xor, Gate.AND: pz.pz_exact_and,
-    Gate.OR: pz.pz_exact_or, Gate.XNOR: pz.pz_exact_xnor,
-    Gate.NAND: pz.pz_exact_nand, Gate.NOR: pz.pz_exact_nor,
-}
+_LZ_GATES = lz.GATES
+_PZ_MINK = pz.MINK_GATES
+_PZ_EXACT = pz.EXACT_GATES
 
 
 def eval_expr(expr, env, algebra, mode="minkowski"):

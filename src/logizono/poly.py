@@ -5,15 +5,19 @@ The represented set is
 with a^0 = 1, so an all-zero exponent column makes its generator
 unconditional. Factors are named by globally unique identifiers; two
 zonotopes sharing an identifier share that factor, which is what makes
-the exact operations dependency-aware.
+the exact operations dependency-aware. The exact gates other than AND
+and XOR are their binvec.DE_MORGAN compositions with NOT, and each
+Minkowski gate is its exact gate over fresh factors.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
+from .binvec import (DE_MORGAN, BinaryMatrix, BinaryVector, Gate, bv_not,
+                     bv_op)
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
 from .logical import and_columns
@@ -120,37 +124,8 @@ def _fresh(a):
     return PolyLogicalZonotope(a.c, a.G, a.E, unique_id(a.p))
 
 
-def pz_mink_xor(a, b):
-    """The exact XOR over fresh factors, so the operands vary
-    independently."""
-    return pz_exact_xor(_fresh(a), _fresh(b))
-
-
-def pz_mink_and(a, b):
-    """The exact AND over fresh factors, so the operands vary
-    independently: cross terms are gated by the conjunction of both
-    operands' monomials."""
-    return pz_exact_and(_fresh(a), _fresh(b))
-
-
 def pz_not(a):
     return PolyLogicalZonotope(bv_not(a.c), a.G, a.E, a.id)
-
-
-def pz_mink_xnor(a, b):
-    return pz_not(pz_mink_xor(a, b))
-
-
-def pz_mink_nand(a, b):
-    return pz_not(pz_mink_and(a, b))
-
-
-def pz_mink_or(a, b):
-    return pz_mink_nand(pz_not(a), pz_not(b))
-
-
-def pz_mink_nor(a, b):
-    return pz_not(pz_mink_or(a, b))
 
 
 def pz_exact_xor(a, b):
@@ -173,20 +148,29 @@ def pz_exact_and(a, b):
         BinaryMatrix(len(a.id), tuple(ecols)), a.id)
 
 
-def pz_exact_xnor(a, b):
-    return pz_not(pz_exact_xor(a, b))
+def _gate(base, flip_in, flip_out, fresh):
+    """DE_MORGAN's entry (base, flip_in, flip_out) from pz_not and this
+    module's pz_exact_and or pz_exact_xor, read at each call. With fresh,
+    over fresh factors: the Minkowski gate, whose AND gates cross terms by
+    the conjunction of both operands' monomials."""
+    def gate(a, b):
+        if fresh:
+            a, b = _fresh(a), _fresh(b)
+        if flip_in:
+            a, b = pz_not(a), pz_not(b)
+        out = pz_exact_and(a, b) if base is Gate.AND else pz_exact_xor(a, b)
+        return pz_not(out) if flip_out else out
+    return gate
 
 
-def pz_exact_nand(a, b):
-    return pz_not(pz_exact_and(a, b))
-
-
-def pz_exact_or(a, b):
-    return pz_exact_nand(pz_not(a), pz_not(b))
-
-
-def pz_exact_nor(a, b):
-    return pz_not(pz_exact_or(a, b))
+EXACT_GATES = {gate: _gate(*DE_MORGAN[gate], False) for gate in Gate}
+EXACT_GATES |= {Gate.AND: pz_exact_and, Gate.XOR: pz_exact_xor}
+MINK_GATES = {gate: _gate(*DE_MORGAN[gate], True) for gate in Gate}
+pz_exact_or, pz_exact_xnor, pz_exact_nand, pz_exact_nor = itemgetter(
+    Gate.OR, Gate.XNOR, Gate.NAND, Gate.NOR)(EXACT_GATES)
+(pz_mink_xor, pz_mink_and, pz_mink_or, pz_mink_xnor, pz_mink_nand,
+ pz_mink_nor) = itemgetter(Gate.XOR, Gate.AND, Gate.OR, Gate.XNOR,
+                           Gate.NAND, Gate.NOR)(MINK_GATES)
 
 
 def pz_enclose_points(points):
@@ -330,6 +314,8 @@ def pz_encode_points(points):
     if not points:
         raise ValueError("at least one point required")
     n = points[0].dim
+    if any(v.dim != n for v in points):
+        raise DimensionError("point dimension mismatch")
     m = len(points)
     p = max(m - 1, 0).bit_length()
     table = _zeta([points[min(i, m - 1)].bits for i in range(1 << p)], p)

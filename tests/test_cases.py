@@ -141,7 +141,7 @@ def test_keystream_matches_reference():
 
 def test_default_taps():
     assert default_taps(60) == (60, 59, 58, 14)
-    for lk in (8, 16, 24, 30):
+    for lk in (*range(2, 9), 16, 24, 30):
         taps = default_taps(lk)
         assert len(set(taps)) == len(taps)
         assert all(1 <= t <= lk for t in taps)

@@ -1,15 +1,21 @@
+import operator
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 
-from logizono.binvec import BinaryMatrix, BinaryVector, Gate, bv_op
+from logizono.binvec import (DE_MORGAN, INT_GATES, BinaryMatrix,
+                             BinaryVector, Gate, bv_op)
 from logizono.errors import CapacityError, DimensionError
 from logizono.explicit import set_minkowski, set_not
 from logizono.logical import (LogicalZonotope, _basis, lz_and, lz_compact,
                               lz_contains, lz_enclose_points, lz_evaluate,
                               lz_nand, lz_nor, lz_not, lz_or, lz_reduce,
                               lz_xnor, lz_xor)
+from logizono.model import _LZ_GATES, _PZ_EXACT, _PZ_MINK
+from logizono.poly import PolyLogicalZonotope, pz_evaluate, pz_not, unique_id
+from logizono.reach import _BITMAP_WIDTH, _set_ops, _value_set
 
 from conftest import logical_zonotopes, lz_pairs
 
@@ -224,25 +230,65 @@ def test_mismatched_widths_raise():
                  LogicalZonotope.singleton(bv([0, 0])))
 
 
+def composed(table, not_, gate):
+    """gate as its DE_MORGAN entry spelled out: table's AND or XOR, with
+    not_ on both operands and on the result as the entry's flags say."""
+    base, flip_in, flip_out = DE_MORGAN[gate]
+
+    def fn(a, b):
+        if flip_in:
+            a, b = not_(a), not_(b)
+        out = table[base](a, b)
+        return not_(out) if flip_out else out
+    return fn
+
+
+def random_pz(rng, n, ids):
+    h = rng.randint(0, 3)
+    return PolyLogicalZonotope(
+        BinaryVector(n, rng.getrandbits(n)),
+        BinaryMatrix(n, tuple(BinaryVector(n, rng.getrandbits(n))
+                              for _ in range(h))),
+        BinaryMatrix(len(ids), tuple(BinaryVector(len(ids),
+                                                  rng.getrandbits(len(ids)))
+                                     for _ in range(h))), ids)
+
+
 def test_derived_gates_are_their_de_morgan_compositions():
-    # each derived gate is built in one construction, and must give the
-    # very zonotope of its composition: same center, same columns in the
-    # same order
-    composed = {
-        lz_nand: lambda a, b: lz_not(lz_and(a, b)),
-        lz_or: lambda a, b: lz_not(lz_and(lz_not(a), lz_not(b))),
-        lz_nor: lambda a, b: lz_and(lz_not(a), lz_not(b)),
-        lz_xnor: lambda a, b: lz_not(lz_xor(a, b)),
-    }
+    # every algebra's gate table against DE_MORGAN: the logical gates must
+    # build the very zonotope of their composition (same center, same
+    # columns in the same order), the poly gates its set, and the native
+    # ORs of INT_GATES and the set images the same ints and sets
     rng = random.Random(2)
     for _ in range(300):
         n, cols = random_columns(rng)
         other = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
         other += [0] * rng.randint(0, 1)
-        a = LogicalZonotope.from_bits(n, rng.getrandbits(n), cols)
-        b = LogicalZonotope.from_bits(n, rng.getrandbits(n), other)
-        for gate, want in composed.items():
-            for x, y in ((a, b), (b, a)):
-                got, ref = gate(x, y), want(x, y)
-                assert (got.dim, got.cbits, got.gbits) == (
-                    ref.dim, ref.cbits, ref.gbits), (gate, cols, other)
+        ids = unique_id(3)  # the two poly operands share a factor
+        m = (1 << n) - 1
+        wide = n + _BITMAP_WIDTH  # set images on frozensets, not bitmaps
+        algebras = [
+            (_LZ_GATES, lz_not,
+             LogicalZonotope.from_bits(n, rng.getrandbits(n), cols),
+             LogicalZonotope.from_bits(n, rng.getrandbits(n), other),
+             lambda z: (z.dim, z.cbits, z.gbits)),
+            (_PZ_EXACT, pz_not, random_pz(rng, n, ids[:2]),
+             random_pz(rng, n, ids[1:]), pz_evaluate),
+            (_PZ_MINK, pz_not, random_pz(rng, n, ids[:2]),
+             random_pz(rng, n, ids[1:]), pz_evaluate),
+            ({g: partial(fn, m=m) for g, fn in INT_GATES.items()},
+             partial(operator.xor, m), rng.getrandbits(n),
+             rng.getrandbits(n), lambda v: v),
+        ]
+        for width in (n, wide):
+            _, not_, gates = _set_ops(width, 2**40, 1)
+            algebras.append((gates, not_, *(
+                _value_set(width, [rng.getrandbits(width)
+                                   for _ in range(rng.randint(1, 6))])
+                for _ in range(2)), lambda v: v))
+        for table, not_, a, b, key in algebras:
+            for gate in Gate:
+                want = composed(table, not_, gate)
+                for x, y in ((a, b), (b, a)):
+                    assert key(table[gate](x, y)) == key(want(x, y)), (
+                        gate, x, y)

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from logizono.binvec import BinaryMatrix, BinaryVector, Gate
+from logizono import poly
+from logizono.binvec import DE_MORGAN, BinaryMatrix, BinaryVector, Gate
 from logizono.errors import CapacityError, DimensionError
 from logizono.explicit import set_minkowski, set_not
 from logizono.poly import (PolyLogicalZonotope, eval_at, merge_id,
@@ -167,6 +168,39 @@ def test_encode_points_is_exact():
         z = pz_encode_points(pts)
         assert z.p == max(len(pts) - 1, 0).bit_length()
         assert pz_evaluate(z).points == frozenset(pts)
+
+
+def test_point_constructors_reject_mixed_widths():
+    # in either order: encoding sorts the points by their bits, and once
+    # took a narrower point's bits into a wider zonotope silently
+    pts = [BinaryVector(3, 1), BinaryVector(2, 2)]
+    for build in (pz_encode_points, pz_enclose_points):
+        for order in (pts, pts[::-1]):
+            with pytest.raises(DimensionError):
+                build(order)
+
+
+@pytest.mark.parametrize("base", [Gate.AND, Gate.XOR])
+def test_derived_gates_call_the_base_at_call_time(monkeypatch, base):
+    # benchmarks/spans.py replaces poly.pz_exact_and to count its calls: a
+    # derived gate holding a direct reference to the original escapes it
+    name = "pz_exact_" + base.value
+    original = getattr(poly, name)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(poly, name, counted)
+    z = example_zonotope()
+    derived = [fn for gate, fn in (*EXACT.items(), *MINK.items())
+               if DE_MORGAN[gate][0] is base and fn is not original]
+    assert len(derived) == (7 if base is Gate.AND else 3)
+    for fn in derived:
+        calls.clear()
+        fn(z, z)
+        assert len(calls) == 1, fn
 
 
 @given(poly_zonotopes(max_p=3))
