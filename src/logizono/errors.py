@@ -10,21 +10,26 @@ class DimensionError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed the configured cap: building `what`
+    needs count elements. step, when known, is the reachability step being
+    built; reach sets it on an error raised without one, so the text is
+    composed when read."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    def __init__(self, what, count, cap, step=None):
+        super().__init__(what, count, cap)
+        self.what, self.count, self.cap, self.step = what, count, cap, step
+
+    def __str__(self):
+        at = "" if self.step is None else f" at step {self.step}"
+        return (f"{self.what}{at} needs {self.count} elements, "
+                f"over the cap of {self.cap}")
 
 
 def check_cap(what, count, cap, step=None):
     """Raise CapacityError if building `what` with count elements would
     exceed cap; step, when known, is the reachability step being built."""
     if count > cap:
-        at = "" if step is None else f" at step {step}"
-        raise CapacityError(
-            f"{what}{at} needs {count} elements, over the cap of {cap}",
-            step=step)
+        raise CapacityError(what, count, cap, step)
 
 
 class ModelError(ValueError):

@@ -5,9 +5,11 @@ sets (a primed reference reads the next-state value computed earlier in
 the same step) and records the joint size, the number of distinct
 concatenated state vectors, and the lane's state. The cap bounds each set
 a state holds: the joint set on the explicit and exact lanes, each
-variable's set on the others, which never build the joint one. Every
-record splits the state into per-variable sets when var_sets is first
-read. The sets hold packed ints; an ExplicitSet builds its .points, the
+variable's set on the others, which never build the joint one. The
+oracle names its own step in a CapacityError; the other lanes raise it
+without one, and reach adds the step being built. Every record splits
+the state into per-variable sets when var_sets is first read. The sets
+hold packed ints; an ExplicitSet builds its .points, the
 BinaryVectors, only when they are first read. What each lane carries
 from one step to the next:
 
@@ -24,12 +26,15 @@ from one step to the next:
   set when x is in the set) up to 12 bits and a frozenset of ints above.
   A step folds each update over those sets: a gate is its pointwise
   image with the operands ranging independently, which is what the
-  pz_mink_* gates compute. The image is built per value y of the smaller
-  operand and stops once it holds every value of its width; by De Morgan
-  each gate is an AND, OR or XOR image of the operands or their
-  complements, and NOT is the XOR image with all ones. On a bitmap the
-  image for one y is the larger operand's bitmap moved by one shift and
-  mask per bit of y. The variables vary independently, so the joint size
+  pz_mink_* gates compute. By De Morgan each gate is an AND, OR or XOR
+  image of the operands or their complements. An XOR or XNOR image of
+  sets whose sizes add up to more than 2^dim holds every value, so the
+  counts decide it; any other image is built per value y of the smaller
+  operand and stops once it holds every value of its width. On a bitmap
+  the image for one y is the larger operand's bitmap moved by one shift
+  and mask per bit of y, and a complement (NOT, and the operands of NAND
+  and NOR) is the bitmap read backwards. The gates are built once per
+  width and cap. The variables vary independently, so the joint size
   is the product of the set sizes. A variable's polynomial logical
   zonotope is pz_encode_points(record.var_sets[name].points).
 - poly, exact: the set of reached joint vectors. A step packs it into one
@@ -62,9 +67,10 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
+from types import MappingProxyType
 
 from .binvec import INT_GATES, Gate
-from .errors import DEFAULT_CAP, ModelError, check_cap
+from .errors import DEFAULT_CAP, CapacityError, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
@@ -232,41 +238,49 @@ def _split_oracle(model, joint):
 def _reach_lane(model, horizon, algebra, mode, cap):
     # a lane: its initial state, step(model, state, k, cap) -> next state,
     # size(s) -> the number of points in one set of a state (the joint set,
-    # or one variable's), split(model, state) -> {name: ExplicitSet}
-    if mode == "exact":
-        state, step, size, split = (_exact_initial(model, cap), _exact_step,
-                                    len, _split)
-    elif algebra == "logical":
-        state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
-                 for v in model.state_vars}
-        step = _logical_step
-        # reduced zonotopes: 2^gamma points each, enumerated as they are
-        size = lambda z: 1 << z.gamma
-        split = lambda model, st: {
-            name: lz.lz_points(z.dim, z.cbits, z.gbits, cap)
-            for name, z in st.items()}
-    else:
-        state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
-                 for v in model.state_vars}
-        step = _minkowski_step
-        size = lambda s: len(s) if isinstance(s, frozenset) else s.bit_count()
-        split = lambda model, st: {
-            v.name: ex.ExplicitSet.from_bits(v.dim, _values(st[v.name]))
-            for v in model.state_vars}
-    records = [_record(model, split, size, state, 0, 0.0, cap)]
-    constant = all(v.constant for v in model.input_vars)
-    fixpoint_at = -1
-    for k in range(1, horizon + 1):
-        t0 = time.perf_counter()
-        nxt = step(model, state, k - 1, cap)
-        records.append(_record(model, split, size, nxt, k,
-                               time.perf_counter() - t0, cap))
-        if constant and nxt == state:
-            fixpoint_at = k
-            records += [replace(records[-1], step=j, wall_time=0.0)
-                        for j in range(k + 1, horizon + 1)]
-            break
-        state = nxt
+    # or one variable's), split(model, state) -> {name: ExplicitSet}. A
+    # lane raises CapacityError without a step; k is the step being built.
+    k = 0
+    try:
+        if mode == "exact":
+            state, step, size, split = (_exact_initial(model, cap),
+                                        _exact_step, len, _split)
+        elif algebra == "logical":
+            state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
+                     for v in model.state_vars}
+            step = _logical_step
+            # reduced zonotopes: 2^gamma points each, enumerated as they are
+            size = lambda z: 1 << z.gamma
+            split = lambda model, st: {
+                name: lz.lz_points(z.dim, z.cbits, z.gbits, cap)
+                for name, z in st.items()}
+        else:
+            state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
+                     for v in model.state_vars}
+            step = _minkowski_step
+            size = lambda s: (len(s) if isinstance(s, frozenset)
+                              else s.bit_count())
+            split = lambda model, st: {
+                v.name: ex.ExplicitSet.from_bits(v.dim, _values(st[v.name]))
+                for v in model.state_vars}
+        records = [_record(model, split, size, state, 0, 0.0, cap)]
+        constant = all(v.constant for v in model.input_vars)
+        fixpoint_at = -1
+        for k in range(1, horizon + 1):
+            t0 = time.perf_counter()
+            nxt = step(model, state, k - 1, cap)
+            records.append(_record(model, split, size, nxt, k,
+                                   time.perf_counter() - t0, cap))
+            if constant and nxt == state:
+                fixpoint_at = k
+                records += [replace(records[-1], step=j, wall_time=0.0)
+                            for j in range(k + 1, horizon + 1)]
+                break
+            state = nxt
+    except CapacityError as err:
+        if err.step is None:
+            err.step = k
+        raise
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
 
 
@@ -280,7 +294,7 @@ def _record(model, split, size, state, step, elapsed, cap):
     sets = {"joint set": joint} if joint is not None else {
         f"set of {name}": s for name, s in state.items()}
     for what, s in sets.items():
-        check_cap(what, size(s), cap, step)
+        check_cap(what, size(s), cap)
     return StepRecord(step, _Projections(split, model, state),
                       math.prod(map(size, sets.values())), elapsed, joint)
 
@@ -331,14 +345,9 @@ def _values(s):
         s ^= low
 
 
-def _set_ops(dim, cap, step):
-    """fold's const, not_ and gates over the sets of width dim; NOT is the
-    XOR image with the all-ones value."""
-    gates = (_bitmap_gates if dim <= _BITMAP_WIDTH else _set_gates)(
-        dim, cap, step)
-    return (lambda value: _value_set(dim, (value.bits,)),
-            partial(gates[Gate.XOR], _value_set(dim, ((1 << dim) - 1,))),
-            gates)
+def _set_ops(dim, cap):
+    """fold's const, not_ and gates over the sets of width dim."""
+    return (_bitmap_gates if dim <= _BITMAP_WIDTH else _set_gates)(dim, cap)
 
 
 # each gate as an AND, OR or XOR image and the number of operands to
@@ -351,18 +360,30 @@ _IMAGES = {
 }
 
 
-def _set_gates(dim, cap, step):
-    """The gates as pointwise images over sets of ints of width dim; the
-    image's bound, min(a·b, 2^dim) values, is checked against cap before
-    it is built.
+@cache
+def _set_gates(dim, cap):
+    """fold's const, not_ and gates over sets of ints of width dim, built
+    once per width and cap and shared by every caller, so the gates come
+    in a read-only mapping. A gate is its pointwise image, whose bound,
+    min(a·b, 2^dim) values, is checked against cap before it is built; NOT
+    complements each value.
 
-    The image grows by one value of the smaller operand at a time and
-    stops once it holds all 2^dim values, since no pair can add more.
+    An XOR or XNOR image of sets whose sizes add up to more than 2^dim
+    holds every value: for each z, z ^ a and b (or b's complement) are too
+    large to be disjoint. Any other image grows by one value of the
+    smaller operand at a time and stops once it holds all 2^dim values,
+    since no pair can add more.
     """
     m = (1 << dim) - 1
 
+    def not_(a):
+        check_cap("gate image", len(a), cap)
+        return frozenset([x ^ m for x in a])
+
     def image(method, flips, a, b):
-        check_cap("gate image", min(len(a) * len(b), m + 1), cap, step)
+        check_cap("gate image", min(len(a) * len(b), m + 1), cap)
+        if method == "__xor__" and len(a) + len(b) > m + 1:
+            return frozenset(range(m + 1))
         small, large = (a, b) if len(a) <= len(b) else (b, a)
         if flips:
             small = [y ^ m for y in small]
@@ -374,7 +395,8 @@ def _set_gates(dim, cap, step):
             if len(out) > m:
                 break
         return frozenset(out)
-    return {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}
+    return (lambda value: frozenset((value.bits,)), not_, MappingProxyType(
+        {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}))
 
 
 @cache
@@ -404,25 +426,47 @@ def _moved(b, y, method, masks):
     return b
 
 
-def _bitmap_gates(dim, cap, step):
-    """The gates of _set_gates over bitmaps of width dim: an image is the
-    union of the larger operand moved by each value of the smaller one."""
+# each byte with its bits in reverse order
+_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+@cache
+def _bitmap_gates(dim, cap):
+    """The ops of _set_gates over bitmaps of width dim: an image is the
+    union of the larger operand moved by each value of the smaller one,
+    and a complement is the bitmap read backwards, since x ^ m = m - x."""
     m, masks = (1 << dim) - 1, _masks(dim)
     full = (1 << (m + 1)) - 1
+    # the bytes that hold the 2^dim bits; below 3 bits that is one byte,
+    # and its reversal puts the bitmap above shift padding bits
+    size = (m + 8) // 8
+    shift = 8 * size - (m + 1)
+
+    def complement(b):
+        return int.from_bytes(
+            b.to_bytes(size, "little").translate(_REVERSED_BITS),
+            "big") >> shift
+
+    def not_(b):
+        check_cap("gate image", b.bit_count(), cap)
+        return complement(b)
 
     def image(method, flips, a, b):
         na, nb = a.bit_count(), b.bit_count()
-        check_cap("gate image", min(na * nb, m + 1), cap, step)
+        check_cap("gate image", min(na * nb, m + 1), cap)
+        if method == "__xor__" and na + nb > m + 1:
+            return full
         small, large = (a, b) if na <= nb else (b, a)
         if flips == 2:
-            large = _moved(large, m, "__xor__", masks)
+            large = complement(large)
         out = 0
         for y in _values(small):
             out |= _moved(large, y ^ m if flips else y, method, masks)
             if out == full:
                 break
         return out
-    return {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}
+    return (lambda value: 1 << value.bits, not_, MappingProxyType(
+        {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}))
 
 
 # --- logical lane -----------------------------------------------------------
@@ -453,7 +497,7 @@ def _minkowski_step(model, state, k, cap):
     for var in model.input_vars:
         env[var.name] = _value_set(
             var.dim, (p.bits for p in model.input_set(var, k)))
-    ops = {dim: _set_ops(dim, cap, k + 1)
+    ops = {dim: _set_ops(dim, cap)
            for dim in {v.dim for v in model.state_vars}}
     for name in model.order:
         env[name + "'"] = fold(model.updates[name], env,
@@ -480,7 +524,7 @@ def _lane_bytes(model):
 
 def _exact_initial(model, cap):
     inits = [{p.bits for p in var.init} for var in model.state_vars]
-    check_cap("joint set", math.prod(map(len, inits)), cap, step=0)
+    check_cap("joint set", math.prod(map(len, inits)), cap)
     points = [0]
     off = 0
     for var, values in zip(model.state_vars, inits):
@@ -523,7 +567,7 @@ def _exact_step(model, joint, k, cap):
         for key, off in placed:
             nxt |= env[key] << off
         out.update(_unpack(nxt, count, nbytes))
-        check_cap("joint set", len(out), cap, step=k + 1)
+        check_cap("joint set", len(out), cap)
     return ex.ExplicitSet.from_bits(joint.dim, out)
 
 

@@ -281,7 +281,7 @@ def test_derived_gates_are_their_de_morgan_compositions():
              rng.getrandbits(n), lambda v: v),
         ]
         for width in (n, wide):
-            _, not_, gates = _set_ops(width, 2**40, 1)
+            _, not_, gates = _set_ops(width, 2**40)
             algebras.append((gates, not_, *(
                 _value_set(width, [rng.getrandbits(width)
                                    for _ in range(rng.randint(1, 6))])

@@ -211,6 +211,13 @@ def test_minkowski_gate_checks_cap_before_building():
         assert err.value.step == 1
         assert f"gate image at step 1 needs {bound} elements" in str(
             err.value)
+    # the gates are built once per width and cap, so the second run reuses
+    # the first one's width-10 gates; each run names its own step
+    for _ in range(2):
+        with pytest.raises(CapacityError) as err:
+            reach(boolean10_model(0), 8, "poly", "minkowski", cap=128)
+        assert err.value.step == 3
+        assert "gate image at step 3 needs 1024 elements" in str(err.value)
 
 
 def test_negative_steps_rejected():
@@ -482,10 +489,18 @@ def gate_operands(rng, width, full):
 def test_set_gates_match_oracle_images(width):
     rng = random.Random(width)
     m = (1 << width) - 1
-    _, not_, gates = _set_ops(width, 2**40, 1)
+    _, not_, gates = _set_ops(width, 2**40)
     saturated = 0
-    for trial in range(6):
-        a, b = gate_operands(rng, width, width <= 13 and trial == 0)
+    operands = [gate_operands(rng, width, width <= 13 and trial == 0)
+                for trial in range(6)]
+    # the saturation boundary up to 13 bits: both operands the values whose
+    # top bit is 0, their sizes adding up to 2^width, then one more value
+    # in the second; the oracle enumerates their pairs up to 7 bits
+    low = list(range(1 << width - 1)) if width <= 13 else []
+    more = low + [m]
+    if width <= 7:
+        operands += [(low, low), (low, more)]
+    for a, b in operands:
         for x, y in ((a, b), (b, a)):
             ex_x = ex.ExplicitSet.from_bits(width, x)
             assert set(_values(not_(_value_set(width, x)))) == \
@@ -500,6 +515,18 @@ def test_set_gates_match_oracle_images(width):
                 saturated += len(got) == m + 1
     # XOR and XNOR with a full operand always fill the image
     assert saturated >= 4 if width <= 13 else saturated == 0
+    if width > 13:
+        return
+    # on the boundary the XOR image is the first operand and the XNOR
+    # image its complement, neither full; one more value fills both
+    high = {x ^ m for x in low}
+    full = set(range(m + 1))
+    for x, y, xor, xnor in ((low, low, set(low), high),
+                            (low, more, full, full), (more, low, full, full)):
+        x, y = _value_set(width, x), _value_set(width, y)
+        assert set(_values(gates[Gate.XOR](x, y))) == xor
+        assert set(_values(gates[Gate.XNOR](x, y))) == xnor
+    assert set(_values(not_(_value_set(width, low)))) == high
 
 
 class CountingValues:
@@ -521,17 +548,17 @@ class CountingValues:
 def test_set_gate_image_stops_once_full(monkeypatch):
     m = (1 << 13) - 1
     full = frozenset(range(m + 1))
-    gates = _set_ops(13, 2**40, 1)[2]
+    gates = _set_ops(13, 2**40)[2]
     for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
         small = CountingValues([3, 5, 9])
         assert gates[Gate.XOR](*order(small, full)) == full
-        assert small.read == 1
-        # XNOR complements the smaller operand first, then reads the full
-        # one once, for that operand's first value alone
+        assert small.read == 0
+        # the operands' sizes add up to more than 2^13, so XNOR reads
+        # neither operand either
         wide = CountingValues(range(m + 1))
         assert gates[Gate.XNOR](*order(frozenset({3, 5, 9}), wide)) == full
-        assert wide.read == m + 1
-    # on a bitmap, XOR with a full operand moves it by one value and stops
+        assert wide.read == 0
+    # on a bitmap, XOR with a full operand is decided by the counts alone
     moves = []
     moved = reach_module._moved
 
@@ -540,13 +567,13 @@ def test_set_gate_image_stops_once_full(monkeypatch):
         return moved(b, y, method, masks)
 
     monkeypatch.setattr(reach_module, "_moved", counted)
-    gates = _set_ops(10, 2**40, 1)[2]
+    gates = _set_ops(10, 2**40)[2]
     full = (1 << 2**10) - 1
     for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
         moves.clear()
         assert gates[Gate.XOR](*order(_value_set(10, [3, 5, 9]), full)) \
             == full
-        assert moves == [3]
+        assert moves == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "minkowski"])
