@@ -124,10 +124,6 @@ class BinaryMatrix:
             if col.dim != self.rows:
                 raise DimensionError("column dimension does not match row count")
 
-    @staticmethod
-    def empty(rows):
-        return BinaryMatrix(rows, ())
-
     @property
     def cols(self):
         return len(self.columns)

@@ -18,7 +18,7 @@ import sys
 import time
 from importlib import resources
 
-from .binvec import BinaryMatrix, BinaryVector, Gate, bv_op
+from .binvec import BinaryVector, Gate, bv_op
 from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
 from .model import (_LZ_GATES, _PZ_EXACT, _PZ_MINK, _field, _matrix, _typed,
@@ -168,12 +168,9 @@ def cmd_selftest(args):
 def _random_pz(rng, n):
     h = rng.randint(0, 3)
     p = rng.randint(0, 3)
-    c = BinaryVector(n, rng.getrandbits(n))
-    G = BinaryMatrix(n, tuple(BinaryVector(n, rng.getrandbits(n))
-                              for _ in range(h)))
-    E = BinaryMatrix(p, tuple(BinaryVector(p, rng.getrandbits(p))
-                              for _ in range(h)))
-    return pz.PolyLogicalZonotope(c, G, E, pz.unique_id(p))
+    return pz.PolyLogicalZonotope.from_bits(
+        n, rng.getrandbits(n), [rng.getrandbits(n) for _ in range(h)],
+        [rng.getrandbits(p) for _ in range(h)], pz.unique_id(p))
 
 
 def _random_lz(rng, n):
@@ -230,7 +227,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, FileNotFoundError, ValueError) as err:
+    except (ModelError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as err:

@@ -20,33 +20,36 @@ from .explicit import ExplicitSet
 
 
 @dataclass(frozen=True, init=False)
-class LogicalZonotope:
-    """A logical zonotope held as packed ints: the center's bits (cbits)
-    and a tuple of generator columns' bits (gbits). .c and .G, the
-    BinaryVector center and BinaryMatrix, are built on first read through
-    their public constructors, then kept."""
+class PackedZonotope:
+    """The packed layout of both zonotope kinds: the center's bits (cbits),
+    one int per generator column (gbits), and any further fields, all
+    tuples. .c and .G, the BinaryVector center and BinaryMatrix, are built
+    on first read through their public constructors, then kept."""
 
     dim: int
     cbits: int
     gbits: tuple
 
-    def __init__(self, c, G):
-        if G.rows != c.dim:
-            raise DimensionError("generator rows must match center dimension")
-        self._set(c.dim, c.bits, tuple(g.bits for g in G.columns))
-        self.__dict__["c"] = c
-        self.__dict__["G"] = G
-
     @classmethod
-    def from_bits(cls, dim, cbits, gbits):
-        """The zonotope of the given packed ints, for the engine: .c and .G
-        check them against dim when they build their vectors."""
+    def from_bits(cls, dim, cbits, gbits, *more):
+        """The zonotope of the given packed ints, for the engine, with any
+        further fields after gbits: the vectors check the ints against
+        their widths when they are built."""
         z = cls.__new__(cls)
-        z._set(dim, cbits, tuple(gbits))
+        z.__dict__.update(dim=dim, cbits=cbits, gbits=tuple(gbits))
+        if more:
+            z.__dict__.update(zip(tuple(cls.__dataclass_fields__)[3:],
+                                  map(tuple, more)))
         return z
 
-    def _set(self, dim, cbits, gbits):
-        self.__dict__.update(dim=dim, cbits=cbits, gbits=gbits)
+    def _keep(self, c, G, *more, **vectors):
+        """A public constructor's body: check G against c, set the packed
+        fields from c, G and the further fields, and keep the vectors."""
+        if G.rows != c.dim:
+            raise DimensionError("generator rows must match center dimension")
+        packed = self.from_bits(c.dim, c.bits, [g.bits for g in G.columns],
+                                *more)
+        self.__dict__.update(vars(packed), c=c, G=G, **vectors)
 
     @cached_property
     def c(self):
@@ -54,8 +57,19 @@ class LogicalZonotope:
 
     @cached_property
     def G(self):
-        return BinaryMatrix(self.dim, tuple(BinaryVector(self.dim, g)
-                                            for g in self.gbits))
+        return columns_matrix(self.dim, self.gbits)
+
+
+def columns_matrix(rows, columns):
+    """The BinaryMatrix of packed int columns, each checked against rows."""
+    return BinaryMatrix(rows, tuple(BinaryVector(rows, x) for x in columns))
+
+
+class LogicalZonotope(PackedZonotope):
+    """A logical zonotope held as packed ints (see PackedZonotope)."""
+
+    def __init__(self, c, G):
+        self._keep(c, G)
 
     @staticmethod
     def singleton(point):
@@ -83,7 +97,7 @@ def and_columns(ac, ag, bc, bg):
             + [g1 & g2 for g1 in ag for g2 in bg])
 
 
-def _check(a, b):
+def check_dims(a, b):
     if a.dim != b.dim:
         raise DimensionError(f"dim {a.dim} vs {b.dim}")
 
@@ -95,14 +109,14 @@ def _gate(base, flip_in, flip_out):
     the result containing every pointwise product."""
     if base is Gate.XOR:
         def gate(a, b):
-            _check(a, b)
+            check_dims(a, b)
             c = a.cbits ^ b.cbits
             return LogicalZonotope.from_bits(
                 a.dim, c ^ _ones(a) if flip_out else c, a.gbits + b.gbits)
         return gate
 
     def gate(a, b):
-        _check(a, b)
+        check_dims(a, b)
         ones = _ones(a)
         ac, bc = a.cbits ^ ones * flip_in, b.cbits ^ ones * flip_in
         return LogicalZonotope.from_bits(a.dim, (ac & bc) ^ ones * flip_out,

@@ -439,6 +439,19 @@ _PZ_MINK = pz.MINK_GATES
 _PZ_EXACT = pz.EXACT_GATES
 
 
+def _compacted(gates, kind, a, b):
+    return pz.pz_compact(gates[kind](a, b))
+
+
+# compacting after every gate keeps intermediate generator counts bounded
+# by the number of distinct monomials without touching any per-assignment
+# value; the gate and pz_compact are looked up at each call
+_PZ_COMPACTING = {mode: {kind: partial(_compacted, gates, kind)
+                         for kind in gates}
+                  for mode, gates in (("exact", _PZ_EXACT),
+                                      ("minkowski", _PZ_MINK))}
+
+
 def eval_expr(expr, env, algebra, mode="minkowski"):
     """Evaluate an expression against a set algebra.
 
@@ -457,14 +470,8 @@ def eval_expr(expr, env, algebra, mode="minkowski"):
         return fold(expr, env, lz.LogicalZonotope.singleton, lz.lz_not,
                     _LZ_GATES)
     if algebra == "poly":
-        gates = _PZ_EXACT if mode == "exact" else _PZ_MINK
-        # compacting after every gate keeps intermediate generator counts
-        # bounded by the number of distinct monomials without touching
-        # any per-assignment value
-        gates = {kind: (lambda fn: lambda a, b: pz.pz_compact(fn(a, b)))(fn)
-                 for kind, fn in gates.items()}
         return fold(expr, env, pz.PolyLogicalZonotope.singleton, pz.pz_not,
-                    gates)
+                    _PZ_COMPACTING[mode])
     raise ModelError(f"unknown algebra {algebra!r}")
 
 

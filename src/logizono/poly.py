@@ -8,19 +8,25 @@ zonotopes sharing an identifier share that factor, which is what makes
 the exact operations dependency-aware. The exact gates other than AND
 and XOR are their binvec.DE_MORGAN compositions with NOT, and each
 Minkowski gate is its exact gate over fresh factors.
+
+Like logical zonotopes, these hold packed ints (logical.PackedZonotope),
+and every operation here works on the ints: BinaryVectors and
+BinaryMatrix are built only at the API and JSON boundary, by the public
+constructor, by the first read of .c, .G or .E, and by eval_at's result.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
-from .binvec import (DE_MORGAN, BinaryMatrix, BinaryVector, Gate, bv_not,
-                     bv_op)
+from .binvec import DE_MORGAN, BinaryVector, Gate
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
-from .logical import and_columns
+from .logical import (PackedZonotope, and_columns, check_dims,
+                      columns_matrix, lz_enclose_points)
 
 _id_lock = threading.Lock()
 _id_next = 1
@@ -37,35 +43,38 @@ def unique_id(count):
     return tuple(range(start, start + count))
 
 
-@dataclass(frozen=True)
-class PolyLogicalZonotope:
-    c: BinaryVector
-    G: BinaryMatrix  # n x h dependent generators
-    E: BinaryMatrix  # p x h exponent matrix, one column per generator
-    id: tuple  # p distinct factor identifiers
+@dataclass(frozen=True, init=False)
+class PolyLogicalZonotope(PackedZonotope):
+    """A polynomial logical zonotope held as packed ints: besides the
+    center and generator columns (see logical.PackedZonotope), ebits holds
+    one int per exponent column, bit k for factor id[k], and id the p
+    distinct factor identifiers. .E is built on first read, as .c and .G
+    are."""
 
-    def __post_init__(self):
-        if self.G.rows != self.c.dim:
-            raise DimensionError("generator rows must match center dimension")
-        if self.E.cols != self.G.cols:
+    ebits: tuple
+    id: tuple
+
+    def __init__(self, c, G, E, id):
+        self._keep(c, G, [e.bits for e in E.columns], id, E=E)
+        if E.cols != G.cols:
             raise DimensionError("E must have one column per generator")
-        if self.E.rows != len(self.id):
+        if E.rows != len(self.id):
             raise DimensionError("E must have one row per identifier")
         if len(set(self.id)) != len(self.id):
             raise ValueError("identifiers must be pairwise distinct")
 
+    @cached_property
+    def E(self):
+        return columns_matrix(self.p, self.ebits)
+
     @staticmethod
     def singleton(point):
-        return PolyLogicalZonotope(
-            point, BinaryMatrix.empty(point.dim), BinaryMatrix.empty(0), ())
-
-    @property
-    def dim(self):
-        return self.c.dim
+        return PolyLogicalZonotope.from_bits(point.dim, point.bits, (), (),
+                                             ())
 
     @property
     def h(self):
-        return self.G.cols
+        return len(self.gbits)
 
     @property
     def p(self):
@@ -94,6 +103,21 @@ class PolyLogicalZonotope:
                                    _matrix(doc, "E", len(ids)), ids)
 
 
+def _zonotope(a, cbits, gbits, ebits, ids=None):
+    """The engine's zonotope of a's width, over a's factors unless ids."""
+    return PolyLogicalZonotope.from_bits(a.dim, cbits, gbits, ebits,
+                                         a.id if ids is None else ids)
+
+
+def _moved(bits, moves):
+    """bits with bit s moved to bit d for each (s, d) in moves, and every
+    other bit dropped."""
+    out = 0
+    for s, d in moves:
+        out |= (bits >> s & 1) << d
+    return out
+
+
 def merge_id(a, b):
     """Rewrite both zonotopes onto one common identifier vector.
 
@@ -101,51 +125,38 @@ def merge_id(a, b):
     that a lacks; exponent rows are zero-padded or permuted accordingly.
     Both results represent exactly the same sets as the inputs.
     """
-    extra = tuple(i for i in b.id if i not in set(a.id))
-    merged = a.id + extra
-    ea = BinaryMatrix(len(merged), tuple(
-        BinaryVector(len(merged), col.bits) for col in a.E.columns))
-    b_row = {ident: r for r, ident in enumerate(b.id)}
-    eb_cols = []
-    for col in b.E.columns:
-        bits = 0
-        for r, ident in enumerate(merged):
-            if ident in b_row:
-                bits |= ((col.bits >> b_row[ident]) & 1) << r
-        eb_cols.append(BinaryVector(len(merged), bits))
-    a2 = PolyLogicalZonotope(a.c, a.G, ea, merged)
-    b2 = PolyLogicalZonotope(b.c, b.G, BinaryMatrix(len(merged), tuple(eb_cols)),
-                             merged)
-    return a2, b2
+    known = set(a.id)
+    merged = a.id + tuple(i for i in b.id if i not in known)
+    row = {ident: r for r, ident in enumerate(merged)}
+    moves = [(k, row[ident]) for k, ident in enumerate(b.id)]
+    return (_zonotope(a, a.cbits, a.gbits, a.ebits, merged),
+            _zonotope(b, b.cbits, b.gbits,
+                      [_moved(e, moves) for e in b.ebits], merged))
 
 
 def _fresh(a):
     """a over newly allocated identifiers: a factor no other zonotope has."""
-    return PolyLogicalZonotope(a.c, a.G, a.E, unique_id(a.p))
+    return _zonotope(a, a.cbits, a.gbits, a.ebits, unique_id(a.p))
 
 
 def pz_not(a):
-    return PolyLogicalZonotope(bv_not(a.c), a.G, a.E, a.id)
+    return _zonotope(a, a.cbits ^ ((1 << a.dim) - 1), a.gbits, a.ebits)
 
 
 def pz_exact_xor(a, b):
+    check_dims(a, b)
     a, b = merge_id(a, b)
-    return PolyLogicalZonotope(
-        bv_op(a.c, b.c, Gate.XOR), a.G.hstack(b.G), a.E.hstack(b.E), a.id)
+    return _zonotope(a, a.cbits ^ b.cbits, a.gbits + b.gbits,
+                     a.ebits + b.ebits)
 
 
 def pz_exact_and(a, b):
+    check_dims(a, b)
     a, b = merge_id(a, b)
-    ecols = list(b.E.columns) + list(a.E.columns)
-    for c1 in a.E.columns:
-        for c2 in b.E.columns:
-            ecols.append(BinaryVector(len(a.id), c1.bits | c2.bits))
-    gcols = and_columns(a.c.bits, [g.bits for g in a.G.columns],
-                        b.c.bits, [g.bits for g in b.G.columns])
-    return PolyLogicalZonotope(
-        bv_op(a.c, b.c, Gate.AND),
-        BinaryMatrix(a.dim, tuple(BinaryVector(a.dim, g) for g in gcols)),
-        BinaryMatrix(len(a.id), tuple(ecols)), a.id)
+    ebits = b.ebits + a.ebits + tuple(e1 | e2 for e1 in a.ebits
+                                      for e2 in b.ebits)
+    return _zonotope(a, a.cbits & b.cbits,
+                     and_columns(a.cbits, a.gbits, b.cbits, b.gbits), ebits)
 
 
 def _gate(base, flip_in, flip_out, fresh):
@@ -175,24 +186,18 @@ pz_exact_or, pz_exact_xnor, pz_exact_nand, pz_exact_nor = itemgetter(
 
 def pz_enclose_points(points):
     """Zonotope containing every given point, one factor per generator."""
-    points = list(points)
-    if not points:
-        raise ValueError("at least one point required")
-    c = points[0]
-    gcols = tuple(bv_op(s, c, Gate.XOR) for s in points[1:])
-    k = len(gcols)
-    ecols = tuple(BinaryVector(k, 1 << i) for i in range(k)) if k else ()
-    return PolyLogicalZonotope(
-        c, BinaryMatrix(c.dim, gcols), BinaryMatrix(k, ecols), unique_id(k))
+    z = lz_enclose_points(points)
+    return _zonotope(z, z.cbits, z.gbits, [1 << k for k in range(z.gamma)],
+                     unique_id(z.gamma))
 
 
 def eval_at(a, assignment):
     """Evaluate for one factor assignment, a mapping id -> 0/1."""
-    alpha = [assignment[i] for i in a.id]
-    out = a.c.bits
-    for g, e in zip(a.G.columns, a.E.columns):
-        if all(alpha[k] for k in range(a.p) if (e.bits >> k) & 1):
-            out ^= g.bits
+    alpha = sum(bool(assignment[i]) << k for k, i in enumerate(a.id))
+    out = a.cbits
+    for g, e in zip(a.gbits, a.ebits):
+        if e & alpha == e:
+            out ^= g
     return BinaryVector(a.dim, out)
 
 
@@ -207,15 +212,12 @@ def value_table(a, id_order=None):
     if id_order is None:
         id_order = a.id
     pos = {ident: k for k, ident in enumerate(id_order)}
+    moves = [(r, pos[ident]) for r, ident in enumerate(a.id)]
     p = len(id_order)
     table = [0] * (1 << p)
-    table[0] = a.c.bits
-    for g, e in zip(a.G.columns, a.E.columns):
-        idx = 0
-        for r, ident in enumerate(a.id):
-            if (e.bits >> r) & 1:
-                idx |= 1 << pos[ident]
-        table[idx] ^= g.bits
+    table[0] = a.cbits
+    for g, e in zip(a.gbits, a.ebits):
+        table[_moved(e, moves)] ^= g
     return _zeta(table, p)
 
 
@@ -240,8 +242,7 @@ def pz_evaluate(a, cap=DEFAULT_CAP) -> ExplicitSet:
 
 
 def pz_contains(a, point, cap=DEFAULT_CAP):
-    if a.dim != point.dim:
-        raise DimensionError(f"dim {a.dim} vs {point.dim}")
+    check_dims(a, point)
     return point in pz_evaluate(a, cap=cap)
 
 
@@ -249,24 +250,17 @@ def pz_simplify(a, cap=DEFAULT_CAP):
     """Greedily drop generators whose removal keeps the same point set,
     then drop identifier rows no remaining generator uses."""
     target = pz_evaluate(a, cap=cap)
-    gcols = list(a.G.columns)
-    ecols = list(a.E.columns)
+    gbits, ebits = list(a.gbits), list(a.ebits)
     i = 0
-    while i < len(gcols):
-        trial = PolyLogicalZonotope(
-            a.c,
-            BinaryMatrix(a.dim, tuple(gcols[:i] + gcols[i + 1:])),
-            BinaryMatrix(a.p, tuple(ecols[:i] + ecols[i + 1:])),
-            a.id)
+    while i < len(gbits):
+        trial = _zonotope(a, a.cbits, gbits[:i] + gbits[i + 1:],
+                          ebits[:i] + ebits[i + 1:])
         if pz_evaluate(trial, cap=cap) == target:
-            del gcols[i]
-            del ecols[i]
+            del gbits[i]
+            del ebits[i]
         else:
             i += 1
-    reduced = PolyLogicalZonotope(
-        a.c, BinaryMatrix(a.dim, tuple(gcols)),
-        BinaryMatrix(a.p, tuple(ecols)), a.id)
-    return _drop_unused_rows(reduced)
+    return _drop_unused_rows(_zonotope(a, a.cbits, gbits, ebits))
 
 
 def pz_compact(a):
@@ -274,32 +268,23 @@ def pz_compact(a):
     generators, XOR-merge generators with identical exponent columns, and
     drop identifier rows that gate nothing."""
     merged = {}  # exponent column -> XOR of its generators, in first order
-    for g, e in zip(a.G.columns, a.E.columns):
-        merged[e.bits] = merged.get(e.bits, 0) ^ g.bits
-    gcols = [BinaryVector(a.dim, g) for g in merged.values() if g]
-    ecols = [BinaryVector(a.p, e) for e, g in merged.items() if g]
-    out = PolyLogicalZonotope(
-        a.c, BinaryMatrix(a.dim, tuple(gcols)),
-        BinaryMatrix(a.p, tuple(ecols)), a.id)
-    return _drop_unused_rows(out)
+    for g, e in zip(a.gbits, a.ebits):
+        merged[e] = merged.get(e, 0) ^ g
+    kept = [(g, e) for e, g in merged.items() if g]
+    return _drop_unused_rows(_zonotope(a, a.cbits, [g for g, _ in kept],
+                                       [e for _, e in kept]))
 
 
 def _drop_unused_rows(a):
     used = 0
-    for e in a.E.columns:
-        used |= e.bits
-    keep = [k for k in range(a.p) if (used >> k) & 1]
+    for e in a.ebits:
+        used |= e
+    keep = [k for k in range(a.p) if used >> k & 1]
     if len(keep) == a.p:
         return a
-    ecols = []
-    for e in a.E.columns:
-        bits = 0
-        for r, k in enumerate(keep):
-            bits |= ((e.bits >> k) & 1) << r
-        ecols.append(BinaryVector(len(keep), bits))
-    return PolyLogicalZonotope(
-        a.c, a.G, BinaryMatrix(len(keep), tuple(ecols)),
-        tuple(a.id[k] for k in keep))
+    moves = [(k, r) for r, k in enumerate(keep)]
+    return _zonotope(a, a.cbits, a.gbits, [_moved(e, moves) for e in a.ebits],
+                     tuple(a.id[k] for k in keep))
 
 
 def pz_encode_points(points):
@@ -319,13 +304,6 @@ def pz_encode_points(points):
     m = len(points)
     p = max(m - 1, 0).bit_length()
     table = _zeta([points[min(i, m - 1)].bits for i in range(1 << p)], p)
-    gcols = []
-    ecols = []
-    for idx in range(1, 1 << p):
-        if table[idx]:
-            gcols.append(BinaryVector(n, table[idx]))
-            ecols.append(BinaryVector(p, idx))
-    c = BinaryVector(n, table[0])
-    return PolyLogicalZonotope(
-        c, BinaryMatrix(n, tuple(gcols)), BinaryMatrix(p, tuple(ecols)),
-        unique_id(p))
+    monomials = [i for i in range(1, 1 << p) if table[i]]
+    return PolyLogicalZonotope.from_bits(
+        n, table[0], [table[i] for i in monomials], monomials, unique_id(p))

@@ -57,6 +57,19 @@ def test_reach_missing_model_exits_usage(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["reach", "--model", "{dir}"],
+    ["eval", "--input", "{dir}"],
+    ["reach", "--model", "boolean10", "--out", "{dir}"],
+])
+def test_directory_for_a_file_exits_usage(tmp_path, capsys, argv):
+    # reading or writing a directory fails with an OSError that is not a
+    # FileNotFoundError; it is still a usage error, not a traceback
+    rc, _, err = run(capsys, [a.format(dir=tmp_path) for a in argv])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_reach_capacity_exit(tmp_path, capsys):
     doc = {
         "vars": [

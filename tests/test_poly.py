@@ -5,8 +5,10 @@ from hypothesis import given, settings
 
 from logizono import poly
 from logizono.binvec import DE_MORGAN, BinaryMatrix, BinaryVector, Gate
+from logizono.cases import boolean10_model
 from logizono.errors import CapacityError, DimensionError
 from logizono.explicit import set_minkowski, set_not
+from logizono.model import eval_expr
 from logizono.poly import (PolyLogicalZonotope, eval_at, merge_id,
                            pz_compact, pz_contains, pz_enclose_points,
                            pz_encode_points, pz_evaluate, pz_exact_and,
@@ -15,6 +17,7 @@ from logizono.poly import (PolyLogicalZonotope, eval_at, merge_id,
                            pz_mink_nand, pz_mink_nor, pz_mink_or,
                            pz_mink_xnor, pz_mink_xor, pz_not, pz_simplify,
                            unique_id, value_table)
+from logizono.reach import reach
 
 from conftest import poly_zonotopes, pz_pairs
 
@@ -226,6 +229,39 @@ def test_simplify_preserves_set(z):
     out = pz_simplify(z)
     assert out.h <= z.h
     assert pz_evaluate(out).points == pz_evaluate(z).points
+
+
+@given(poly_zonotopes())
+def test_from_bits_of_public_ints_is_the_same_zonotope(z):
+    back = PolyLogicalZonotope.from_bits(z.dim, z.cbits, list(z.gbits),
+                                         list(z.ebits), list(z.id))
+    assert back == z and hash(back) == hash(z)
+    assert (back.c, back.G, back.E) == (z.c, z.G, z.E)
+    assert (back.h, back.p) == (z.h, z.p)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minkowski"])
+def test_engine_operations_build_no_vectors(built, mode):
+    # zonotopes are held as packed ints: the operations build no
+    # BinaryVector, and only the public constructor, a read of .c, .G or
+    # .E, and eval_at's result do
+    model = boolean10_model(0)
+    env = {v.name: pz_encode_points(v.init) for v in model.state_vars}
+    env |= {v.name: pz_encode_points(model.input_set(v, 0))
+            for v in model.input_vars}
+    built[0] = 0
+    for name in model.order:
+        env[name + "'"] = eval_expr(model.updates[name], env, "poly", mode)
+    assert built[0] == 0
+    a, b = merge_id(env["B1'"], env["B2"])
+    both = pz_compact(pz_exact_xor(a, b))
+    table = value_table(both, a.id)
+    sets = {name: pz_evaluate(env[name + "'"]) for name in model.order}
+    assert built[0] == 0
+    # each update's set is the oracle's first step
+    truth = reach(model, 1, "explicit").record(1).var_sets
+    assert sets == truth
+    assert set(table) == pz_evaluate(pz_exact_xor(a, b)).bits
 
 
 def test_json_round_trip():

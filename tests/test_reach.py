@@ -220,6 +220,25 @@ def test_minkowski_gate_checks_cap_before_building():
         assert "gate image at step 3 needs 1024 elements" in str(err.value)
 
 
+def test_minkowski_cap_bounds_frozenset_images_not_pairs():
+    # above 12 bits the cap bounds what an image holds, min(a·b, 2^dim),
+    # and not the a·b operand pairs it may read: 300 x 300 pairs of 13-bit
+    # values pass a cap of 2^13, which bounds sizes and not time
+    dim = 13
+    values = random.Random(13).sample(range(2**dim), 600)
+    xs, us = values[:300], values[300:]
+    model = parse_model({
+        "vars": [{"name": "x", "role": "state", "dim": dim,
+                  "init": [format(v, f"0{dim}b") for v in xs]},
+                 {"name": "u", "role": "input", "dim": dim,
+                  "set": [format(v, f"0{dim}b") for v in us]}],
+        "updates": {"x": "x ^ u"},
+    })
+    got = reach(model, 1, "poly", "minkowski", cap=2**dim)
+    assert got.record(1).var_sets["x"].bits == {x ^ u for x in xs
+                                                for u in us}
+
+
 def test_negative_steps_rejected():
     with pytest.raises(ModelError):
         reach(identity_model(), [1, -1], "logical")
