@@ -1,6 +1,6 @@
-"""Ready-made case studies: intersection protocol, a 10-bit Boolean
-function family, and LFSR keystream generation plus exhaustive key search
-over per-bit key sets."""
+"""Ready-made case studies: intersection protocol, an n-bit Boolean
+function family (boolean10 at n = 10), and LFSR keystream generation
+plus exhaustive key search over per-bit key sets."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .binvec import BinaryVector
-from .errors import SearchFailure
+from .errors import ModelError, SearchFailure
 from .model import Model, parse_model
 
 
@@ -47,34 +47,40 @@ def intersection_model() -> Model:
     return parse_model(intersection_document())
 
 
-def boolean10_document(seed, steps=8) -> dict:
-    """Model document for three coupled 10-bit maps with two-valued
+def boolean_document(seed, n=10, steps=8) -> dict:
+    """Model document for three coupled n-bit maps with two-valued
     initial and input sets.
 
     The update structure is fixed; the concrete vectors are drawn from
     the seed so runs are reproducible. Input sets are re-drawn per step.
     """
+    if n < 1:
+        raise ModelError(f"n: must be at least 1, found {n}")
     rng = random.Random(seed)
 
     def draw_pair():
-        a = rng.getrandbits(10)
-        b = rng.getrandbits(10)
+        a = rng.getrandbits(n)
+        b = rng.getrandbits(n)
         while b == a:
-            b = rng.getrandbits(10)
-        return [format(a, "010b"), format(b, "010b")]
+            b = rng.getrandbits(n)
+        return [format(a, f"0{n}b"), format(b, f"0{n}b")]
 
     doc = {"vars": [], "updates": {}, "order": ["B1", "B2", "B3"]}
     for name in ("B1", "B2", "B3"):
-        doc["vars"].append({"name": name, "role": "state", "dim": 10,
+        doc["vars"].append({"name": name, "role": "state", "dim": n,
                             "init": draw_pair()})
     for name in ("U1", "U2", "U3"):
-        doc["vars"].append({"name": name, "role": "input", "dim": 10,
+        doc["vars"].append({"name": name, "role": "input", "dim": n,
                             "steps": [draw_pair() for _ in range(steps)]})
     doc["updates"]["B1"] = "U1 | XNOR(B2, B1)"
     doc["updates"]["B2"] = "XNOR(B2, B1 & U2)"
     doc["updates"]["B3"] = "NAND(B3, XNOR(U2, U3))"
     doc["seed"] = seed
     return doc
+
+
+def boolean10_document(seed, steps=8) -> dict:
+    return boolean_document(seed, 10, steps)
 
 
 def boolean10_model(seed, steps=8) -> Model:

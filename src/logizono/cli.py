@@ -4,8 +4,9 @@ Subcommands: reach (run a model and report sizes/times), lfsr (round-trip
 key search), eval (enumerate a serialized zonotope), selftest (randomized
 oracle-equivalence checks).
 
-reach and eval share one capacity budget: the most elements any one set
-or table may hold (a joint set, a variable's set, a 2^p value table).
+reach and eval share one capacity budget: the most elements a set or
+table may hold, checked where one is computed (a joint set, a gate image,
+a 2^p value table, a logical run's sets only when --dump-sets lists them).
 `reach --cap` sets it, else the env var LOGIZONO_CAP, else 2^20.
 """
 
@@ -156,11 +157,8 @@ def cmd_selftest(args):
             lwant = ex.set_minkowski(lz.lz_evaluate(la), lz.lz_evaluate(lb),
                                      gate)
             lgot = lz.lz_evaluate(_LZ_GATES[gate](la, lb))
-            if gate in exact_gates:
-                if lgot != lwant:
-                    failures += 1
-            elif not lwant.bits <= lgot.bits:
-                failures += 1
+            failures += (lgot != lwant if gate in exact_gates
+                         else not lwant.bits <= lgot.bits)
     print(f"selftest trials={args.trials} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -404,6 +404,8 @@ def read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ModelError(f"{path}: nested too deeply to decode") from None
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise ModelError(f"{path}: {err}") from None
 
 
 def load_model(path) -> Model:

@@ -3,15 +3,15 @@
 Each step evaluates every update in model.order against the step's input
 sets (a primed reference reads the next-state value computed earlier in
 the same step) and records the joint size, the number of distinct
-concatenated state vectors, and the lane's state. The cap bounds each set
-a state holds: the joint set on the explicit and exact lanes, each
-variable's set on the others, which never build the joint one. The
-oracle names its own step in a CapacityError; the other lanes raise it
-without one, and reach adds the step being built. Every record splits
-the state into per-variable sets when var_sets is first read. The sets
-hold packed ints; an ExplicitSet builds its .points, the
-BinaryVectors, only when they are first read. What each lane carries
-from one step to the next:
+concatenated state vectors, and the lane's state. The cap is checked
+where a set or table is computed, never on a record: the initial joint
+product, a step's successor set, a gate image, and a zonotope's points
+when var_sets is read. The oracle names its own step in a CapacityError;
+the other lanes raise it without one, and reach adds the step being
+built. Every record splits the state into per-variable sets when
+var_sets is first read. The sets hold packed ints; an ExplicitSet builds
+its .points, the BinaryVectors, only when they are first read. What
+each lane carries from one step to the next:
 
 - explicit: the oracle (explicit.reach_explicit) enumerates every
   (state, input) sample.
@@ -19,9 +19,9 @@ from one step to the next:
   center's and one per generator column); vectors are built only at the
   API and JSON boundary. Updates run in generator space; each result is
   reduced to its canonical form (lz_reduce), which keeps the set, bounds
-  the generator count and gives equal sets equal zonotopes. A record
-  enumerates each zonotope as it is, and the joint size is the product
-  of the set sizes.
+  the generator count and gives equal sets equal zonotopes. The joint
+  size is the product of the 2^gamma set sizes; a record's split
+  enumerates each zonotope as it is, and only that is checked.
 - poly, minkowski: one set of values per variable, an int bitmap (bit x
   set when x is in the set) up to 12 bits and a frozenset of ints above.
   A step folds each update over those sets: a gate is its pointwise
@@ -170,8 +170,8 @@ def joint_size(state, algebra, cap=DEFAULT_CAP):
     of variables sharing identifiers is enumerated over its k shared
     factors; groups contribute multiplicatively.
 
-    cap is the most elements any one set or table may hold; a 2^k value
-    table or a joint count above it raises CapacityError.
+    cap is the most elements any one value table may hold; a 2^k table
+    above it raises CapacityError. The count itself is never checked.
     """
     if algebra == "explicit":
         return len(state)
@@ -182,9 +182,7 @@ def joint_size(state, algebra, cap=DEFAULT_CAP):
                  for comp in _components(state)]
     else:
         raise ModelError(f"unknown algebra {algebra!r}")
-    total = math.prod(sizes)
-    check_cap("joint set", total, cap)
-    return total
+    return math.prod(sizes)
 
 
 # --- the engine -------------------------------------------------------------
@@ -224,7 +222,7 @@ def _reach_explicit(model, horizon, break_deps, cap):
         joint = next(joints)
         elapsed = time.perf_counter() - t0
         records.append(_record(model, _split_oracle, len, joint, k,
-                               elapsed if k else 0.0, cap))
+                               elapsed if k else 0.0))
     return ReachResult("explicit", "minkowski", tuple(records))
 
 
@@ -237,9 +235,9 @@ def _split_oracle(model, joint):
 
 def _reach_lane(model, horizon, algebra, mode, cap):
     # a lane: its initial state, step(model, state, k, cap) -> next state,
-    # size(s) -> the number of points in one set of a state (the joint set,
-    # or one variable's), split(model, state) -> {name: ExplicitSet}. A
-    # lane raises CapacityError without a step; k is the step being built.
+    # size(state) -> its joint size, split(model, state) -> {name:
+    # ExplicitSet}. The cap is checked where a set is computed, never on
+    # size; a lane raises without a step, and k is the step being built.
     k = 0
     try:
         if mode == "exact":
@@ -250,7 +248,7 @@ def _reach_lane(model, horizon, algebra, mode, cap):
                      for v in model.state_vars}
             step = _logical_step
             # reduced zonotopes: 2^gamma points each, enumerated as they are
-            size = lambda z: 1 << z.gamma
+            size = lambda st: 1 << sum(z.gamma for z in st.values())
             split = lambda model, st: {
                 name: lz.lz_points(z.dim, z.cbits, z.gbits, cap)
                 for name, z in st.items()}
@@ -258,19 +256,20 @@ def _reach_lane(model, horizon, algebra, mode, cap):
             state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
                      for v in model.state_vars}
             step = _minkowski_step
-            size = lambda s: (len(s) if isinstance(s, frozenset)
-                              else s.bit_count())
+            size = lambda st: math.prod(
+                len(s) if isinstance(s, frozenset) else s.bit_count()
+                for s in st.values())
             split = lambda model, st: {
                 v.name: ex.ExplicitSet.from_bits(v.dim, _values(st[v.name]))
                 for v in model.state_vars}
-        records = [_record(model, split, size, state, 0, 0.0, cap)]
+        records = [_record(model, split, size, state, 0, 0.0)]
         constant = all(v.constant for v in model.input_vars)
         fixpoint_at = -1
         for k in range(1, horizon + 1):
             t0 = time.perf_counter()
             nxt = step(model, state, k - 1, cap)
             records.append(_record(model, split, size, nxt, k,
-                                   time.perf_counter() - t0, cap))
+                                   time.perf_counter() - t0))
             if constant and nxt == state:
                 fixpoint_at = k
                 records += [replace(records[-1], step=j, wall_time=0.0)
@@ -284,19 +283,14 @@ def _reach_lane(model, horizon, algebra, mode, cap):
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
 
 
-def _record(model, split, size, state, step, elapsed, cap):
-    """Record of a lane's state: the size of each set it holds, checked
-    against cap before any is enumerated, their product as the joint size,
-    and var_sets split off the state when first read. A joint ExplicitSet
-    state, the oracle's or the exact lane's, is its one set and also the
-    record's joint_set; the other lanes hold one set per variable."""
+def _record(model, split, size, state, step, elapsed):
+    """Record of a lane's state: its joint size, size(state), and var_sets
+    split off the state when first read; a joint ExplicitSet state, the
+    oracle's or the exact lane's, is also the joint_set. It checks nothing:
+    the lane checked what it computed, and the split what it enumerates."""
     joint = state if isinstance(state, ex.ExplicitSet) else None
-    sets = {"joint set": joint} if joint is not None else {
-        f"set of {name}": s for name, s in state.items()}
-    for what, s in sets.items():
-        check_cap(what, size(s), cap)
-    return StepRecord(step, _Projections(split, model, state),
-                      math.prod(map(size, sets.values())), elapsed, joint)
+    return StepRecord(step, _Projections(split, model, state), size(state),
+                      elapsed, joint)
 
 
 class _Projections(Mapping):

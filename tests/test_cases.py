@@ -5,9 +5,10 @@ import pytest
 from logizono.binvec import BinaryVector
 from logizono import cases
 from logizono.cases import (LfsrSpec, boolean10_document, boolean10_model,
-                            default_taps, intersection_model, lfsr_encrypt,
+                            boolean_document, default_taps,
+                            intersection_model, lfsr_encrypt,
                             lfsr_keystream, lfsr_recover_key)
-from logizono.errors import SearchFailure
+from logizono.errors import ModelError, SearchFailure
 from logizono.reach import reach
 
 
@@ -54,6 +55,27 @@ def test_boolean10_reproducible():
     assert d1 == d2
     assert d1 != d3
     assert d1["seed"] == 42
+
+
+def test_boolean_document_at_ten_bits_is_boolean10():
+    for seed in range(10):
+        assert boolean_document(seed, 10) == boolean10_document(seed)
+        assert boolean_document(seed, 10, 3) == boolean10_document(seed, 3)
+
+
+def test_boolean_document_width():
+    def pairs(doc):
+        for v in doc["vars"]:
+            yield from [v["init"]] if "init" in v else v["steps"]
+
+    doc = boolean_document(5, 33, steps=2)
+    assert {v["dim"] for v in doc["vars"]} == {33}
+    for pair in pairs(doc):
+        assert len(set(pair)) == 2 and {len(b) for b in pair} == {33}
+    # one bit still draws two distinct values; zero bits have none
+    assert all(sorted(p) == ["0", "1"] for p in pairs(boolean_document(0, 1)))
+    with pytest.raises(ModelError):
+        boolean_document(0, 0)
 
 
 def test_boolean10_shape():

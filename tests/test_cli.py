@@ -82,11 +82,23 @@ def test_reach_capacity_exit(tmp_path, capsys):
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, ["reach", "--model", str(path),
-                              "--algebra", "poly", "--mode", "exact",
-                              "--steps", "1", "--cap", "100"])
-    assert rc == cli.EXIT_CAPACITY
-    assert "capacity" in err.lower()
+    runs = [
+        (["--algebra", "poly", "--mode", "exact", "--cap", "100"],
+         cli.EXIT_CAPACITY),
+        # the logical lane lists a variable's 16 points only for --dump-sets
+        (["--algebra", "logical", "--cap", "10", "--format", "csv"],
+         cli.EXIT_OK),
+        (["--algebra", "logical", "--cap", "10", "--format", "json",
+          "--dump-sets"], cli.EXIT_CAPACITY),
+    ]
+    for args, code in runs:
+        rc, out, err = run(capsys, ["reach", "--model", str(path),
+                                    "--steps", "1"] + args)
+        assert rc == code
+        if code == cli.EXIT_OK:
+            assert out.splitlines()[-1].endswith(",256")
+        else:
+            assert "capacity" in err.lower()
 
 
 def test_missing_subcommand_is_usage_error():
@@ -337,6 +349,19 @@ def test_deeply_nested_json_exits_usage(tmp_path, capsys, argv):
     assert rc == cli.EXIT_USAGE
     assert out == ""
     assert err == f"error: {path}: nested too deeply to decode\n"
+
+
+@pytest.mark.parametrize("argv", [["reach", "--model"], ["eval", "--input"]])
+@pytest.mark.parametrize("data", [b'{"vars": [', b'{"c": "\xff"}'],
+                         ids=["truncated", "not-utf8"])
+def test_undecodable_file_exits_usage_naming_it(tmp_path, capsys, argv, data):
+    # a truncated JSON file and one that is not UTF-8
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    rc, out, err = run(capsys, argv + [str(path)])
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 # --- fuzzing: any input file gives exit 0, 2 or 3 and never a traceback ------

@@ -9,8 +9,9 @@ import pytest
 
 from logizono import explicit as ex, logical as lz
 from logizono.binvec import BinaryMatrix, BinaryVector, Gate
-from logizono.cases import boolean10_model, intersection_model
-from logizono.errors import CapacityError, ModelError
+from logizono.cases import (boolean10_model, boolean_document,
+                             intersection_model)
+from logizono.errors import DEFAULT_CAP, CapacityError, ModelError
 from logizono.model import Const, Not, VarRef, parse_model
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
 from logizono.reach import (_lane_bytes, _set_ops, _value_set, _values,
@@ -187,10 +188,29 @@ def test_logical_lane_checks_cap_before_enumerating():
         "vars": [{"name": "x", "role": "state", "dim": dim, "init": init}],
         "updates": {"x": "x"},
     })
+    # the lane holds a zonotope of 20 generators and never lists its
+    # points, so the run passes the cap; reading var_sets lists them
+    got = reach(model, 0, "logical", cap=10)
+    assert got.sizes() == [2**dim]
     with pytest.raises(CapacityError) as err:
-        reach(model, 0, "logical", cap=10)
-    assert err.value.step == 0
+        got.record(0).var_sets["x"]
     assert f"needs {2**dim} elements, over the cap of 10" in str(err.value)
+
+
+def test_logical_lane_runs_wide_models_under_the_default_cap():
+    # three coupled 256-bit maps: the joint sizes reach 2^621, and only
+    # listing a variable's set meets the cap
+    got = reach(parse_model(boolean_document(0, 256)), 8, "logical")
+    assert [s.bit_length() - 1 for s in got.sizes()] == [
+        3, 14, 51, 176, 474, 575, 595, 621, 612]
+    assert all(s & (s - 1) == 0 for s in got.sizes())
+    with pytest.raises(CapacityError, match=f"over the cap of {DEFAULT_CAP}"):
+        got.record(8).var_sets["B2"]
+    # 21 bits: a variable's 2^21 points once raised at step 4
+    narrow = reach(parse_model(boolean_document(0, 21)), 8, "logical")
+    assert len(narrow.records) == 9 and narrow.fixpoint_at == -1
+    assert narrow.sizes() == reach(parse_model(boolean_document(0, 21)), 8,
+                                   "logical", cap=2**80).sizes()
 
 
 def test_minkowski_gate_checks_cap_before_building():
@@ -260,11 +280,10 @@ def test_joint_cap():
     with pytest.raises(CapacityError):
         reach(model, 1, "poly", "exact", cap=100)
     # 256 joint states, 16 per variable: the lanes that never build the
-    # joint set check each variable's set alone
+    # joint set compute nothing here, the Minkowski lane copies each set
+    # and the logical lane holds zonotopes, so no cap is met
     for algebra in ("logical", "poly"):
-        assert reach(model, 1, algebra, cap=100).sizes() == [256, 256]
-        with pytest.raises(CapacityError, match="set of x at step 0"):
-            reach(model, 1, algebra, cap=15)
+        assert reach(model, 1, algebra, cap=15).sizes() == [256, 256]
 
 
 def test_reports_round_trip():
@@ -415,7 +434,7 @@ def test_fixpoint_is_the_first_repeat_of_the_sets(algebra, mode):
 
 
 @pytest.mark.parametrize("algebra, mode", [
-    ("poly", "exact"), ("poly", "minkowski"), ("logical", "minkowski")])
+    ("poly", "exact"), ("poly", "minkowski")])
 def test_capacity_error_names_the_step(algebra, mode):
     doc = {
         "vars": [
