@@ -24,7 +24,7 @@ from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
 from .model import (_LZ_GATES, _PZ_EXACT, _PZ_MINK, _field, _matrix, _typed,
                     _vector, load_model, read_json)
-from .reach import reach, reach_report
+from .reach import _set_ops, _value_set, _values, reach, reach_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -159,8 +159,25 @@ def cmd_selftest(args):
             lgot = lz.lz_evaluate(_LZ_GATES[gate](la, lb))
             failures += (lgot != lwant if gate in exact_gates
                          else not lwant.bits <= lgot.bits)
+        failures += _check_set_ops(rng)
     print(f"selftest trials={args.trials} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_FAIL
+
+
+def _check_set_ops(rng):
+    """Failures of the Minkowski lane's own gates and NOT, on bitmaps up
+    to 12 bits and frozensets at 13, against set_minkowski and set_not."""
+    n = rng.randint(1, 13)
+    _, not_, gates = _set_ops(n, DEFAULT_CAP)
+    a, b = ([rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+            for _ in range(2))
+    ea, eb = ex.ExplicitSet.from_bits(n, a), ex.ExplicitSet.from_bits(n, b)
+    sa, sb = _value_set(n, a), _value_set(n, b)
+    failures = set(_values(not_(sa))) != ex.set_not(ea).bits
+    for gate in Gate:
+        failures += (set(_values(gates[gate](sa, sb)))
+                     != ex.set_minkowski(ea, eb, gate).bits)
+    return failures
 
 
 def _random_pz(rng, n):

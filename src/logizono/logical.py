@@ -150,12 +150,13 @@ def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
     return lz_points(a.dim, a.cbits, _basis(a.gbits), cap)
 
 
-def lz_points(dim, cbits, basis, cap=DEFAULT_CAP) -> ExplicitSet:
+def lz_points(dim, cbits, basis, cap=DEFAULT_CAP,
+              what="logical zonotope set") -> ExplicitSet:
     """The set cbits xor span(basis), for independent packed int columns
     such as a reduced zonotope's: gamma of them give 2^gamma points, all
-    distinct, and more than cap points raise CapacityError before any is
-    built."""
-    check_cap("logical zonotope set", 1 << len(basis), cap)
+    distinct, and more than cap points raise a CapacityError naming what
+    before any is built."""
+    check_cap(what, 1 << len(basis), cap)
     points = [cbits]
     for g in basis:
         points += [x ^ g for x in points]

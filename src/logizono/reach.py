@@ -31,9 +31,11 @@ each lane carries from one step to the next:
   sets whose sizes add up to more than 2^dim holds every value, so the
   counts decide it; any other image is built per value y of the smaller
   operand and stops once it holds every value of its width. On a bitmap
-  the image for one y is the larger operand's bitmap moved by one shift
-  and mask per bit of y, and a complement (NOT, and the operands of NAND
-  and NOR) is the bitmap read backwards. The gates are built once per
+  the image for one y is the larger operand's bitmap moved along the
+  bits of y that change its values, looked up in one table per width;
+  an XOR image is moved on from the last value's along the bits where
+  the two differ. A complement (NOT, and the operands of NAND and NOR)
+  is the bitmap read backwards. The gates are built once per
   width and cap. The variables vary independently, so the joint size
   is the product of the set sizes. A variable's polynomial logical
   zonotope is pz_encode_points(record.var_sets[name].points).
@@ -250,7 +252,8 @@ def _reach_lane(model, horizon, algebra, mode, cap):
             # reduced zonotopes: 2^gamma points each, enumerated as they are
             size = lambda st: 1 << sum(z.gamma for z in st.values())
             split = lambda model, st: {
-                name: lz.lz_points(z.dim, z.cbits, z.gbits, cap)
+                name: lz.lz_points(z.dim, z.cbits, z.gbits, cap,
+                                   f"set of {name}")
                 for name, z in st.items()}
         else:
             state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
@@ -289,20 +292,28 @@ def _record(model, split, size, state, step, elapsed):
     oracle's or the exact lane's, is also the joint_set. It checks nothing:
     the lane checked what it computed, and the split what it enumerates."""
     joint = state if isinstance(state, ex.ExplicitSet) else None
-    return StepRecord(step, _Projections(split, model, state), size(state),
-                      elapsed, joint)
+    return StepRecord(step, _Projections(split, model, state, step),
+                      size(state), elapsed, joint)
 
 
 class _Projections(Mapping):
     """The var_sets of a lane's state: split(model, state), called when
-    first read, then kept."""
+    first read, then kept. A CapacityError the split raises names step,
+    the step of the record built with these var_sets; the records copied
+    past a fixpoint share them, so theirs names the fixpoint's step."""
 
-    def __init__(self, split, model, state):
+    def __init__(self, split, model, state, step):
         self._split, self._model, self._state = split, model, state
+        self._step = step
 
     @cached_property
     def _sets(self):
-        return self._split(self._model, self._state)
+        try:
+            return self._split(self._model, self._state)
+        except CapacityError as err:
+            if err.step is None:
+                err.step = self._step
+            raise
 
     def __getitem__(self, name):
         return self._sets[name]
@@ -402,22 +413,15 @@ def _masks(dim):
                  for low in [full // ((1 << 2 * s) - 1) * ((1 << s) - 1)])
 
 
-# {x op y : x in bitmap b} for one value y moves b once along each bit i of
-# y that changes x (a set bit for XOR and OR, a clear one for AND)
-_MOVES = {
-    "__xor__": (1, lambda b, s, low, high: (b & low) << s | (b & high) >> s),
-    "__and__": (0, lambda b, s, low, high: (b | b >> s) & low),
-    "__or__": (1, lambda b, s, low, high: (b | b << s) & high),
-}
-
-
-def _moved(b, y, method, masks):
-    on, move = _MOVES[method]
-    for s, low, high in masks:
-        if y & 1 == on:
-            b = move(b, s, low, high)
-        y >>= 1
-    return b
+@cache
+def _moving(dim):
+    """For each y < 2^dim, the _masks(dim) entries at the set bits of y.
+    The table doubles once per bit: the entries of the y with bit i set
+    are those of y - 2^i with bit i's masks added."""
+    table = [()]
+    for mask in _masks(dim):
+        table += [t + (mask,) for t in table]
+    return tuple(table)
 
 
 # each byte with its bits in reverse order
@@ -427,9 +431,15 @@ _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 @cache
 def _bitmap_gates(dim, cap):
     """The ops of _set_gates over bitmaps of width dim: an image is the
-    union of the larger operand moved by each value of the smaller one,
-    and a complement is the bitmap read backwards, since x ^ m = m - x."""
-    m, masks = (1 << dim) - 1, _masks(dim)
+    union of the larger operand moved by each value y of the smaller one,
+    and a complement is the bitmap read backwards, since x ^ m = m - x.
+
+    {x op y : x in b} moves b once along each bit of y that changes x: a
+    set bit for XOR and OR, a clear one for AND, and the reverse when the
+    operands are complemented; one _moving lookup gives those bits. XOR
+    moves commute and undo themselves, so the image for y is the one for
+    the value before it moved along the bits where the two differ."""
+    m, moving = (1 << dim) - 1, _moving(dim)
     full = (1 << (m + 1)) - 1
     # the bytes that hold the 2^dim bits; below 3 bits that is one byte,
     # and its reversal puts the bitmap above shift padding bits
@@ -445,22 +455,69 @@ def _bitmap_gates(dim, cap):
         check_cap("gate image", b.bit_count(), cap)
         return complement(b)
 
-    def image(method, flips, a, b):
-        na, nb = a.bit_count(), b.bit_count()
-        check_cap("gate image", min(na * nb, m + 1), cap)
-        if method == "__xor__" and na + nb > m + 1:
-            return full
-        small, large = (a, b) if na <= nb else (b, a)
-        if flips == 2:
-            large = complement(large)
-        out = 0
-        for y in _values(small):
-            out |= _moved(large, y ^ m if flips else y, method, masks)
+    # (small, large, flip) -> the image, for each value y of small moving
+    # large along the bits of y ^ flip
+    def xor_image(small, large, flip):
+        out, b, last = 0, large, flip
+        while small:
+            low = small & -small
+            y = low.bit_length() - 1
+            for s, lo, hi in moving[y ^ last]:
+                b = (b & lo) << s | (b & hi) >> s
+            out |= b
             if out == full:
                 break
+            last = y
+            small ^= low
         return out
+
+    def and_image(small, large, flip):
+        out = 0
+        while small:
+            low = small & -small
+            b = large
+            for s, lo, hi in moving[(low.bit_length() - 1) ^ flip]:
+                b = (b | b >> s) & lo
+            out |= b
+            if out == full:
+                break
+            small ^= low
+        return out
+
+    def or_image(small, large, flip):
+        out = 0
+        while small:
+            low = small & -small
+            b = large
+            for s, lo, hi in moving[(low.bit_length() - 1) ^ flip]:
+                b = (b | b << s) & hi
+            out |= b
+            if out == full:
+                break
+            small ^= low
+        return out
+
+    images = {"__xor__": xor_image, "__and__": and_image,
+              "__or__": or_image}
+
+    def gate(method, flips):
+        move = images[method]
+        # AND moves at the clear bits of y, so flip when exactly one of
+        # AND and a complemented small operand holds
+        flip = m if (method == "__and__") != (flips > 0) else 0
+
+        def image(a, b):
+            na, nb = a.bit_count(), b.bit_count()
+            check_cap("gate image", min(na * nb, m + 1), cap)
+            if method == "__xor__" and na + nb > m + 1:
+                return full
+            small, large = (a, b) if na <= nb else (b, a)
+            if flips == 2:
+                large = complement(large)
+            return move(small, large, flip)
+        return image
     return (lambda value: 1 << value.bits, not_, MappingProxyType(
-        {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}))
+        {kind: gate(*spec) for kind, spec in _IMAGES.items()}))
 
 
 # --- logical lane -----------------------------------------------------------

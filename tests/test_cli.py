@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logizono import cli
+from logizono.binvec import Gate
 from logizono.errors import SearchFailure
 
 
@@ -281,6 +282,20 @@ def test_selftest(capsys):
     rc, out, _ = run(capsys, ["selftest", "--trials", "25", "--seed", "1"])
     assert rc == cli.EXIT_OK
     assert "failures=0" in out
+
+
+def test_selftest_checks_the_minkowski_lane_gates(capsys, monkeypatch):
+    # a lane whose XOR image is its AND image fails the selftest
+    set_ops = cli._set_ops
+
+    def broken(n, cap):
+        const, not_, gates = set_ops(n, cap)
+        return const, not_, {**gates, Gate.XOR: gates[Gate.AND]}
+
+    monkeypatch.setattr(cli, "_set_ops", broken)
+    rc, out, _ = run(capsys, ["selftest", "--trials", "25", "--seed", "1"])
+    assert rc == cli.EXIT_FAIL
+    assert "failures=0" not in out
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -194,7 +194,15 @@ def test_logical_lane_checks_cap_before_enumerating():
     assert got.sizes() == [2**dim]
     with pytest.raises(CapacityError) as err:
         got.record(0).var_sets["x"]
-    assert f"needs {2**dim} elements, over the cap of 10" in str(err.value)
+    assert str(err.value) == \
+        f"set of x at step 0 needs {2**dim} elements, over the cap of 10"
+    # x = x is a fixpoint at step 1: the records copied past it share its
+    # var_sets, and their error names the fixpoint's step
+    got = reach(model, 3, "logical", cap=10)
+    assert got.fixpoint_at == 1
+    with pytest.raises(CapacityError) as err:
+        got.record(3).var_sets["x"]
+    assert err.value.step == 1
 
 
 def test_logical_lane_runs_wide_models_under_the_default_cap():
@@ -204,8 +212,12 @@ def test_logical_lane_runs_wide_models_under_the_default_cap():
     assert [s.bit_length() - 1 for s in got.sizes()] == [
         3, 14, 51, 176, 474, 575, 595, 621, 612]
     assert all(s & (s - 1) == 0 for s in got.sizes())
-    with pytest.raises(CapacityError, match=f"over the cap of {DEFAULT_CAP}"):
+    # reading one variable lists them all, and B1 is the first over the cap
+    with pytest.raises(CapacityError) as err:
         got.record(8).var_sets["B2"]
+    assert err.value.step == 8
+    assert str(err.value).startswith("set of B1 at step 8 needs ")
+    assert str(err.value).endswith(f"over the cap of {DEFAULT_CAP}")
     # 21 bits: a variable's 2^21 points once raised at step 4
     narrow = reach(parse_model(boolean_document(0, 21)), 8, "logical")
     assert len(narrow.records) == 9 and narrow.fixpoint_at == -1
@@ -375,11 +387,11 @@ def test_records_split_var_sets_only_when_read(monkeypatch, algebra, mode):
     splits = []
 
     class Counted(reach_module._Projections):
-        def __init__(self, split, model, state):
+        def __init__(self, split, model, state, step):
             def counted(model, state):
                 splits.append(state)
                 return split(model, state)
-            super().__init__(counted, model, state)
+            super().__init__(counted, model, state, step)
 
     monkeypatch.setattr(reach_module, "_Projections", Counted)
     horizon = 4 if algebra == "explicit" else 10
@@ -596,22 +608,61 @@ def test_set_gate_image_stops_once_full(monkeypatch):
         wide = CountingValues(range(m + 1))
         assert gates[Gate.XNOR](*order(frozenset({3, 5, 9}), wide)) == full
         assert wide.read == 0
-    # on a bitmap, XOR with a full operand is decided by the counts alone
-    moves = []
-    moved = reach_module._moved
+    # on a bitmap, XOR with a full operand is decided by the counts alone:
+    # gates built on a counting move table look none of its entries up
+    lookups = []
+    table = reach_module._moving(10)
 
-    def counted(b, y, method, masks):
-        moves.append(y)
-        return moved(b, y, method, masks)
+    class CountedTable:
+        def __getitem__(self, y):
+            lookups.append(y)
+            return table[y]
 
-    monkeypatch.setattr(reach_module, "_moved", counted)
-    gates = _set_ops(10, 2**40)[2]
-    full = (1 << 2**10) - 1
-    for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
-        moves.clear()
-        assert gates[Gate.XOR](*order(_value_set(10, [3, 5, 9]), full)) \
-            == full
-        assert moves == []
+    monkeypatch.setattr(reach_module, "_moving", lambda dim: CountedTable())
+    reach_module._bitmap_gates.cache_clear()
+    try:
+        gates = _set_ops(10, 2**40)[2]
+        small, full = _value_set(10, [3, 5, 9]), (1 << 2**10) - 1
+        for order in (lambda x, y: (x, y), lambda x, y: (y, x)):
+            assert gates[Gate.XOR](*order(small, full)) == full
+            assert lookups == []
+        # an image that is not full reads one entry per value
+        gates[Gate.XOR](small, _value_set(10, [0, 1, 2, 7]))
+        assert len(lookups) == 3
+    finally:
+        monkeypatch.undo()
+        reach_module._bitmap_gates.cache_clear()
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_move_table_holds_the_masks_of_each_values_set_bits(dim):
+    masks = reach_module._masks(dim)
+    table = reach_module._moving(dim)
+    assert len(table) == 1 << dim
+    for y, entry in enumerate(table):
+        assert entry == tuple(masks[i] for i in range(dim) if y >> i & 1)
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_bitmap_images_match_oracle_on_empty_full_and_single_moves(width):
+    # the smaller operand holds 0 and m, whose entries are empty and full
+    # for XOR and OR and the reverse for AND, and pairs of values one bit
+    # apart, r and r + 1 next to each other in the walk, so the stepped
+    # XOR image moves along a single bit between them
+    rng = random.Random(width)
+    m = (1 << width) - 1
+    _, _, gates = _set_ops(width, 2**40)
+    for _ in range(4):
+        r, v = rng.randrange(0, m + 1, 2), rng.randrange(m + 1)
+        small = sorted({0, m, r, r | 1, v, v ^ 1 << rng.randrange(width)})
+        large = rng.sample(range(m + 1), min(m + 1, len(small) +
+                                              rng.randint(1, 12)))
+        for x, y in ((small, large), (large, small)):
+            ex_x, ex_y = (ex.ExplicitSet.from_bits(width, z) for z in (x, y))
+            for gate in Gate:
+                got = gates[gate](_value_set(width, x), _value_set(width, y))
+                assert set(_values(got)) == \
+                    ex.set_minkowski(ex_x, ex_y, gate).bits, (gate, x, y)
 
 
 @pytest.mark.parametrize("mode", ["exact", "minkowski"])
