@@ -8,9 +8,49 @@ characters with index 1 leftmost, matching model files and CLI output.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DimensionError
+
+
+class Value:
+    """The base of the immutable value classes. A subclass names its fields
+    in _fields and sets them with _init. Those in _compared, all by
+    default, give the repr, the hash and equality, which also needs the
+    same class. Pickling and copying call the constructor on every field,
+    or from_bits where the constructor takes vectors. Unlike dataclasses,
+    it generates no code at import."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in vars(cls):  # else the parent's hold
+            cls._compared = vars(cls).get("_compared", cls._fields)
+            cls._key = property(attrgetter(*cls._compared))
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._compared))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class Gate(enum.Enum):
@@ -35,10 +75,14 @@ def _mask(dim):
     return (1 << dim) - 1
 
 
-@dataclass(frozen=True)
-class BinaryVector:
-    dim: int
-    bits: int
+class BinaryVector(Value):
+    __slots__ = _fields = ("dim", "bits")
+
+    def __init__(self, dim, bits):
+        # the oracle builds many vectors: set the two slots without _init
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self):
         # dim 0 is permitted so factor-free exponent matrices can still
@@ -112,17 +156,16 @@ def bv_not(a: BinaryVector) -> BinaryVector:
     return BinaryVector(a.dim, ~a.bits & _mask(a.dim))
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(Value):
     """A column-major binary matrix; columns are BinaryVectors of dim rows."""
 
-    rows: int
-    columns: tuple
+    __slots__ = _fields = ("rows", "columns")
 
-    def __post_init__(self):
-        for col in self.columns:
-            if col.dim != self.rows:
+    def __init__(self, rows, columns):
+        for col in columns:
+            if col.dim != rows:
                 raise DimensionError("column dimension does not match row count")
+        self._init(rows, columns)
 
     @property
     def cols(self):

@@ -5,9 +5,8 @@ plus exhaustive key search over per-bit key sets."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .binvec import BinaryVector
+from .binvec import BinaryVector, Value
 from .errors import ModelError, SearchFailure
 from .model import Model, parse_model
 
@@ -100,23 +99,21 @@ def default_taps(lk):
     return tuple(taps)
 
 
-@dataclass(frozen=True)
-class LfsrSpec:
-    lk: int = 60
-    taps: tuple = (60, 59, 58, 14)
-    out_taps: tuple = (60, 59)
-    lm: int = 120
+class LfsrSpec(Value):
+    __slots__ = _fields = ("lk", "taps", "out_taps", "lm")
 
-    def __post_init__(self):
-        if self.lk < 2:
-            raise ValueError(f"register length {self.lk}: at least 2 cells")
-        if self.lm < 1:
-            raise ValueError(f"message length {self.lm}: at least 1 bit")
-        if not (self.taps and self.out_taps):
+    def __init__(self, lk=60, taps=(60, 59, 58, 14), out_taps=(60, 59),
+                 lm=120):
+        if lk < 2:
+            raise ValueError(f"register length {lk}: at least 2 cells")
+        if lm < 1:
+            raise ValueError(f"message length {lm}: at least 1 bit")
+        if not (taps and out_taps):
             raise ValueError("feedback and output taps must be non-empty")
-        for t in self.taps + self.out_taps:
-            if not 1 <= t <= self.lk:
-                raise ValueError(f"tap {t} outside 1..{self.lk}")
+        for t in taps + out_taps:
+            if not 1 <= t <= lk:
+                raise ValueError(f"tap {t} outside 1..{lk}")
+        self._init(lk, taps, out_taps, lm)
 
     @staticmethod
     def scaled(lk, lm=None):

@@ -8,21 +8,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .binvec import BinaryVector, Gate, bv_not, bv_op
+from .binvec import BinaryVector, Gate, Value, bv_not, bv_op
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 
 
-@dataclass(frozen=True, init=False)
-class ExplicitSet:
+class ExplicitSet(Value):
     """A non-empty set of dim-bit vectors, held as the frozenset of their
     packed ints. .points, the set of BinaryVectors, is built on first read
     through the public BinaryVector constructor, then kept."""
 
-    dim: int
-    bits: frozenset
+    _fields = ("dim", "bits")
 
     def __init__(self, dim, points):
         points = frozenset(points)
@@ -42,8 +39,10 @@ class ExplicitSet:
     def _set(self, dim, bits):
         if not bits:
             raise ValueError("explicit set must be non-empty")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bits", bits)
+        self._init(dim, bits)
+
+    def __reduce__(self):
+        return self.from_bits, super().__reduce__()[1]
 
     @cached_property
     def points(self):

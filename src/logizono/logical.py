@@ -10,25 +10,21 @@ operands or their complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .binvec import DE_MORGAN, BinaryMatrix, BinaryVector, Gate
+from .binvec import DE_MORGAN, BinaryMatrix, BinaryVector, Gate, Value
 from .errors import DEFAULT_CAP, DimensionError, check_cap
 from .explicit import ExplicitSet
 
 
-@dataclass(frozen=True, init=False)
-class PackedZonotope:
+class PackedZonotope(Value):
     """The packed layout of both zonotope kinds: the center's bits (cbits),
     one int per generator column (gbits), and any further fields, all
     tuples. .c and .G, the BinaryVector center and BinaryMatrix, are built
     on first read through their public constructors, then kept."""
 
-    dim: int
-    cbits: int
-    gbits: tuple
+    _fields = ("dim", "cbits", "gbits")
 
     @classmethod
     def from_bits(cls, dim, cbits, gbits, *more):
@@ -38,9 +34,11 @@ class PackedZonotope:
         z = cls.__new__(cls)
         z.__dict__.update(dim=dim, cbits=cbits, gbits=tuple(gbits))
         if more:
-            z.__dict__.update(zip(tuple(cls.__dataclass_fields__)[3:],
-                                  map(tuple, more)))
+            z.__dict__.update(zip(cls._fields[3:], map(tuple, more)))
         return z
+
+    def __reduce__(self):
+        return self.from_bits, super().__reduce__()[1]
 
     def _keep(self, c, G, *more, **vectors):
         """A public constructor's body: check G against c, set the packed

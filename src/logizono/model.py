@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import partial
 
-from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
+from .binvec import BinaryMatrix, BinaryVector, Gate, Value, bv_not, bv_op
 from .errors import ModelError
 from . import explicit as ex
 from . import logical as lz
@@ -22,33 +21,38 @@ from . import poly as pz
 
 # --- expression trees -------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-    primed: bool = False
-    pos: int = field(default=None, compare=False, repr=False)  # 1-based
+class VarRef(Value):
+    __slots__ = _fields = ("name", "primed", "pos")
+    _compared = ("name", "primed")
+
+    def __init__(self, name, primed=False, pos=None):  # pos is 1-based
+        self._init(name, primed, pos)
 
     @property
     def key(self):
         return self.name + "'" if self.primed else self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    value: BinaryVector
-    pos: int = field(default=None, compare=False, repr=False)  # 1-based
+class Const(Value):
+    __slots__ = _fields = ("value", "pos")
+    _compared = ("value",)
+
+    def __init__(self, value, pos=None):  # pos is 1-based
+        self._init(value, pos)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: object
+class Not(Value):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child):
+        self._init(child)
 
 
-@dataclass(frozen=True)
-class GateExpr:
-    kind: Gate
-    left: object
-    right: object
+class GateExpr(Value):
+    __slots__ = _fields = ("kind", "left", "right")
+
+    def __init__(self, kind, left, right):
+        self._init(kind, left, right)
 
 
 _FUNC_GATES = {"NAND": Gate.NAND, "NOR": Gate.NOR, "XNOR": Gate.XNOR}
@@ -201,27 +205,26 @@ def next_state_refs(expr):
 
 # --- models -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateVar:
-    name: str
-    dim: int
-    init: tuple  # BinaryVectors
+class StateVar(Value):
+    __slots__ = _fields = ("name", "dim", "init")
+
+    def __init__(self, name, dim, init):  # init: a tuple of BinaryVectors
+        self._init(name, dim, init)
 
 
-@dataclass(frozen=True)
-class InputVar:
-    name: str
-    dim: int
-    constant: tuple = ()  # same set every step
-    per_step: tuple = ()  # tuple of tuples, one per step
+class InputVar(Value):
+    __slots__ = _fields = ("name", "dim", "constant", "per_step")
+
+    # constant: the same set every step; per_step: one set per step
+    def __init__(self, name, dim, constant=(), per_step=()):
+        self._init(name, dim, constant, per_step)
 
 
-@dataclass(frozen=True)
-class Model:
-    state_vars: tuple
-    input_vars: tuple
-    updates: dict
-    order: tuple
+class Model(Value):
+    __slots__ = _fields = ("state_vars", "input_vars", "updates", "order")
+
+    def __init__(self, state_vars, input_vars, updates, order):
+        self._init(state_vars, input_vars, updates, order)
 
     def input_set(self, var, step):
         if var.constant:

@@ -18,7 +18,6 @@ constructor, by the first read of .c, .G or .E, and by eval_at's result.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -43,7 +42,6 @@ def unique_id(count):
     return tuple(range(start, start + count))
 
 
-@dataclass(frozen=True, init=False)
 class PolyLogicalZonotope(PackedZonotope):
     """A polynomial logical zonotope held as packed ints: besides the
     center and generator columns (see logical.PackedZonotope), ebits holds
@@ -51,8 +49,7 @@ class PolyLogicalZonotope(PackedZonotope):
     distinct factor identifiers. .E is built on first read, as .c and .G
     are."""
 
-    ebits: tuple
-    id: tuple
+    _fields = PackedZonotope._fields + ("ebits", "id")
 
     def __init__(self, c, G, E, id):
         self._keep(c, G, [e.bits for e in E.columns], id, E=E)

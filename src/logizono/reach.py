@@ -8,10 +8,13 @@ where a set or table is computed, never on a record: the initial joint
 product, a step's successor set, a gate image, and a zonotope's points
 when var_sets is read. The oracle names its own step in a CapacityError;
 the other lanes raise it without one, and reach adds the step being
-built. Every record splits the state into per-variable sets when
-var_sets is first read. The sets hold packed ints; an ExplicitSet builds
-its .points, the BinaryVectors, only when they are first read. What
-each lane carries from one step to the next:
+built. A record splits a variable's set off the state when that
+variable is first read in var_sets, and keeps it; the others are not
+computed. The sets hold packed ints; an ExplicitSet builds its .points,
+the BinaryVectors, only when they are first read. No lane runs the pz_*
+gates on polynomial logical zonotopes, the paper's method: the poly
+lanes hold the sets those gates represent. What each lane carries from
+one step to the next:
 
 - explicit: the oracle (explicit.reach_explicit) enumerates every
   (state, input) sample.
@@ -37,17 +40,17 @@ each lane carries from one step to the next:
   the two differ. A complement (NOT, and the operands of NAND and NOR)
   is the bitmap read backwards. The gates are built once per
   width and cap. The variables vary independently, so the joint size
-  is the product of the set sizes. A variable's polynomial logical
-  zonotope is pz_encode_points(record.var_sets[name].points).
+  is the product of the set sizes. Each set is the one that a
+  variable's polynomial logical zonotope represents under the Minkowski
+  gates; the lane holds no zonotope.
 - poly, exact: the set of reached joint vectors. A step packs it into one
   big int, one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that
   holds the joint width (more bytes above 64 bits), and applies each gate
   to all lanes with one bitwise operation, once per combination of input
-  values; a record's split packs it the same way and takes each
-  variable's set off the lanes by shift and mask. This is the set the
-  exact pz_* gates compute, without their generator products;
-  pz_encode_points(record.joint_set.points) gives the step's polynomial
-  logical zonotope.
+  values; a record packs it the same way once, at the first read of
+  var_sets, and takes each variable's set off the lanes by shift and mask. This is the set that
+  the exact pz_* gates' zonotopes represent, reached without their
+  generator products; the lane holds no zonotope.
 
 When the inputs are the same every step and a step's state equals the
 one before, the run has hit a fixpoint and the remaining steps share the
@@ -67,11 +70,10 @@ import sys
 import time
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from types import MappingProxyType
 
-from .binvec import INT_GATES, Gate
+from .binvec import INT_GATES, Gate, Value
 from .errors import DEFAULT_CAP, CapacityError, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
@@ -81,23 +83,23 @@ from .model import eval_expr, fold
 ALGEBRAS = ("explicit", "logical", "poly")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    # name -> ExplicitSet of ints, .points built on demand; on exact
-    # lanes the sets are split off the packed lanes when first read
-    var_sets: Mapping
-    joint_size: int
-    wall_time: float
-    joint_set: object = None  # the same, of joint vectors, on exact lanes
+class StepRecord(Value):
+    # var_sets: name -> ExplicitSet of ints, .points built on demand, each
+    # split off the lane's state when first read; joint_set: the same, of
+    # joint vectors, on the oracle and exact lanes
+    __slots__ = _fields = ("step", "var_sets", "joint_size", "wall_time",
+                           "joint_set")
+
+    def __init__(self, step, var_sets, joint_size, wall_time, joint_set=None):
+        self._init(step, var_sets, joint_size, wall_time, joint_set)
 
 
-@dataclass(frozen=True)
-class ReachResult:
-    algebra: str
-    mode: str
-    records: tuple
-    fixpoint_at: int = -1  # first step whose state repeats the previous one
+class ReachResult(Value):
+    __slots__ = _fields = ("algebra", "mode", "records", "fixpoint_at")
+
+    # fixpoint_at: the first step whose state repeats the previous one
+    def __init__(self, algebra, mode, records, fixpoint_at=-1):
+        self._init(algebra, mode, records, fixpoint_at)
 
     def sizes(self):
         return [r.joint_size for r in self.records]
@@ -229,17 +231,19 @@ def _reach_explicit(model, horizon, break_deps, cap):
 
 
 def _split_oracle(model, joint):
-    """Each variable's set, by the oracle's own split of its joint set."""
+    """Each variable's set by name, by the oracle's own split of its joint
+    set, which is made once."""
     parts = [ex.split_joint(model, p) for p in joint.points]
-    return {v.name: ex.ExplicitSet(v.dim, [q[v.name] for q in parts])
-            for v in model.state_vars}
+    return lambda name: ex.ExplicitSet(model.state(name).dim,
+                                       [q[name] for q in parts])
 
 
 def _reach_lane(model, horizon, algebra, mode, cap):
     # a lane: its initial state, step(model, state, k, cap) -> next state,
-    # size(state) -> its joint size, split(model, state) -> {name:
-    # ExplicitSet}. The cap is checked where a set is computed, never on
-    # size; a lane raises without a step, and k is the step being built.
+    # size(state) -> its joint size, split(model, state) -> a function of
+    # a variable's name giving its ExplicitSet. The cap is checked where a
+    # set is computed, never on size; a lane raises without a step, and k
+    # is the step being built.
     k = 0
     try:
         if mode == "exact":
@@ -251,10 +255,9 @@ def _reach_lane(model, horizon, algebra, mode, cap):
             step = _logical_step
             # reduced zonotopes: 2^gamma points each, enumerated as they are
             size = lambda st: 1 << sum(z.gamma for z in st.values())
-            split = lambda model, st: {
-                name: lz.lz_points(z.dim, z.cbits, z.gbits, cap,
-                                   f"set of {name}")
-                for name, z in st.items()}
+            split = lambda model, st: lambda name: lz.lz_points(
+                st[name].dim, st[name].cbits, st[name].gbits, cap,
+                f"set of {name}")
         else:
             state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
                      for v in model.state_vars}
@@ -262,9 +265,8 @@ def _reach_lane(model, horizon, algebra, mode, cap):
             size = lambda st: math.prod(
                 len(s) if isinstance(s, frozenset) else s.bit_count()
                 for s in st.values())
-            split = lambda model, st: {
-                v.name: ex.ExplicitSet.from_bits(v.dim, _values(st[v.name]))
-                for v in model.state_vars}
+            split = lambda model, st: lambda name: ex.ExplicitSet.from_bits(
+                model.state(name).dim, _values(st[name]))
         records = [_record(model, split, size, state, 0, 0.0)]
         constant = all(v.constant for v in model.input_vars)
         fixpoint_at = -1
@@ -275,7 +277,9 @@ def _reach_lane(model, horizon, algebra, mode, cap):
                                    time.perf_counter() - t0))
             if constant and nxt == state:
                 fixpoint_at = k
-                records += [replace(records[-1], step=j, wall_time=0.0)
+                last = records[-1]
+                records += [StepRecord(j, last.var_sets, last.joint_size, 0.0,
+                                       last.joint_set)
                             for j in range(k + 1, horizon + 1)]
                 break
             state = nxt
@@ -297,32 +301,41 @@ def _record(model, split, size, state, step, elapsed):
 
 
 class _Projections(Mapping):
-    """The var_sets of a lane's state: split(model, state), called when
-    first read, then kept. A CapacityError the split raises names step,
-    the step of the record built with these var_sets; the records copied
-    past a fixpoint share them, so theirs names the fixpoint's step."""
+    """The var_sets of a lane's state, in model.state_vars order. Each
+    variable's set is computed when that variable is first read, by
+    split(model, state)(name), then kept; split is called once, at the
+    first read. A CapacityError names step, the step of the record built
+    with these var_sets; the records copied past a fixpoint share them,
+    so theirs names the fixpoint's step."""
 
     def __init__(self, split, model, state, step):
         self._split, self._model, self._state = split, model, state
         self._step = step
+        self._sets = {}
 
     @cached_property
-    def _sets(self):
-        try:
-            return self._split(self._model, self._state)
-        except CapacityError as err:
-            if err.step is None:
-                err.step = self._step
-            raise
+    def _one(self):
+        return self._split(self._model, self._state)
 
     def __getitem__(self, name):
+        if name not in self._sets:
+            self._model.state(name)  # a KeyError if name is no state variable
+            try:
+                self._sets[name] = self._one(name)
+            except CapacityError as err:
+                if err.step is None:
+                    err.step = self._step
+                raise
         return self._sets[name]
 
+    def __contains__(self, name):
+        return any(v.name == name for v in self._model.state_vars)
+
     def __iter__(self):
-        return iter(self._sets)
+        return (v.name for v in self._model.state_vars)
 
     def __len__(self):
-        return len(self._sets)
+        return len(self._model.state_vars)
 
 
 # --- gates over sets of ints -----------------------------------------------
@@ -643,17 +656,17 @@ def _unpack(packed, count, nbytes):
 
 
 def _split(model, joint):
-    """Each variable's set of the exact-lane state joint, packed when
-    read: one shift and mask over all lanes per variable."""
+    """Each variable's set of the exact-lane state joint by name, packed
+    once: one shift and mask over all lanes per variable."""
     packed, ones, count, nbytes = _pack(model, joint)
-    var_sets = {}
-    off = 0
-    for var in model.state_vars:
-        lanes = (packed >> off) & (((1 << var.dim) - 1) * ones)
-        var_sets[var.name] = ex.ExplicitSet.from_bits(
-            var.dim, _unpack(lanes, count, nbytes))
-        off += var.dim
-    return var_sets
+    dims = {v.name: v.dim for v in model.state_vars}
+    offsets = dict(zip(dims, itertools.accumulate(dims.values(), initial=0)))
+
+    def one(name):
+        lanes = (packed >> offsets[name]) & (((1 << dims[name]) - 1) * ones)
+        return ex.ExplicitSet.from_bits(dims[name],
+                                        _unpack(lanes, count, nbytes))
+    return one
 
 
 # --- reporting --------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -12,7 +11,8 @@ from logizono.binvec import BinaryMatrix, BinaryVector, Gate
 from logizono.cases import (boolean10_model, boolean_document,
                              intersection_model)
 from logizono.errors import DEFAULT_CAP, CapacityError, ModelError
-from logizono.model import Const, Not, VarRef, parse_model
+from logizono.model import (Const, InputVar, Model, Not, VarRef,
+                            parse_model)
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
 from logizono.reach import (_lane_bytes, _set_ops, _value_set, _values,
                             joint_size, poly_joint_set, reach, reach_report)
@@ -205,6 +205,30 @@ def test_logical_lane_checks_cap_before_enumerating():
     assert err.value.step == 1
 
 
+def test_var_sets_split_one_variable_per_read():
+    # x holds 2 values under a cap of 10; y's zonotope of 20 generators
+    # holds 2^20, so only reading y meets the cap
+    wide = ["0" * 20] + ["0" * i + "1" + "0" * (19 - i) for i in range(20)]
+    model = parse_model({
+        "vars": [{"name": "y", "role": "state", "dim": 20, "init": wide},
+                 {"name": "x", "role": "state", "dim": 2,
+                  "init": ["01", "10"]}],
+        "updates": {"x": "x", "y": "y"},
+    })
+    var_sets = reach(model, 1, "logical", cap=10).record(1).var_sets
+    assert list(var_sets) == ["y", "x"] and len(var_sets) == 2
+    assert "x" in var_sets and "z" not in var_sets
+    assert var_sets["x"].to_strings() == ["10", "01"]
+    with pytest.raises(KeyError):
+        var_sets["z"]
+    with pytest.raises(CapacityError) as err:
+        var_sets["y"]
+    assert err.value.step == 1
+    assert str(err.value).startswith("set of y at step 1 needs ")
+    # x is kept from its first read
+    assert var_sets["x"] is var_sets["x"]
+
+
 def test_logical_lane_runs_wide_models_under_the_default_cap():
     # three coupled 256-bit maps: the joint sizes reach 2^621, and only
     # listing a variable's set meets the cap
@@ -212,11 +236,11 @@ def test_logical_lane_runs_wide_models_under_the_default_cap():
     assert [s.bit_length() - 1 for s in got.sizes()] == [
         3, 14, 51, 176, 474, 575, 595, 621, 612]
     assert all(s & (s - 1) == 0 for s in got.sizes())
-    # reading one variable lists them all, and B1 is the first over the cap
+    # reading a variable lists that variable only
     with pytest.raises(CapacityError) as err:
         got.record(8).var_sets["B2"]
     assert err.value.step == 8
-    assert str(err.value).startswith("set of B1 at step 8 needs ")
+    assert str(err.value).startswith("set of B2 at step 8 needs ")
     assert str(err.value).endswith(f"over the cap of {DEFAULT_CAP}")
     # 21 bits: a variable's 2^21 points once raised at step 4
     narrow = reach(parse_model(boolean_document(0, 21)), 8, "logical")
@@ -416,9 +440,10 @@ def test_records_split_var_sets_only_when_read(monkeypatch, algebra, mode):
 def constant_inputs_per_step(model, horizon):
     """A twin of model whose constant input sets are written out as
     per-step lists, so a run of it never takes the fixpoint shortcut."""
-    return dataclasses.replace(model, input_vars=tuple(
-        dataclasses.replace(v, constant=(), per_step=(v.constant,) * horizon)
-        if v.constant else v for v in model.input_vars))
+    return Model(model.state_vars, tuple(
+        InputVar(v.name, v.dim, per_step=(v.constant,) * horizon)
+        if v.constant else v for v in model.input_vars),
+        model.updates, model.order)
 
 
 @pytest.mark.parametrize("algebra, mode", [
