@@ -22,8 +22,8 @@ from importlib import resources
 from .binvec import BinaryVector, Gate, bv_op
 from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
-from .model import (_LZ_GATES, _PZ_EXACT, _PZ_MINK, _field, _matrix, _typed,
-                    _vector, load_model, read_json)
+from .model import (ALGEBRAS, MODES, _LZ_GATES, _PZ_EXACT, _PZ_MINK, _field,
+                    _matrix, _typed, _vector, load_model, read_json)
 from .reach import _set_ops, _value_set, _values, reach, reach_report
 
 EXIT_OK = 0
@@ -82,24 +82,26 @@ def cmd_reach(args):
 
 def cmd_lfsr(args):
     rng = random.Random(args.seed)
-    lk = args.lk
     for flag, value in (("--taps", args.taps), ("--out-taps", args.out_taps),
                         ("--key-hex", args.key_hex)):
         if value == "":
             raise ValueError(f"{flag}: expected a value, found an empty one")
     taps = (tuple(_int(t, "--taps") for t in args.taps.split(","))
-            if args.taps is not None else cases.default_taps(lk))
+            if args.taps is not None else None)
     out_taps = (tuple(_int(t, "--out-taps") for t in args.out_taps.split(","))
-                if args.out_taps is not None else (lk, lk - 1))
-    lm = args.lm if args.lm is not None else 2 * lk
-    spec = cases.LfsrSpec(lk, taps, out_taps, lm)
-    if args.key_hex is not None:
-        value = _int(args.key_hex, "--key-hex", 16)
-        if not 0 <= value < 1 << lk:
-            raise ValueError(f"key {args.key_hex}: does not fit {lk} bits")
+                if args.out_taps is not None else None)
+    value = (_int(args.key_hex, "--key-hex", 16)
+             if args.key_hex is not None else None)
+    spec = cases.LfsrSpec.scaled(args.lk, args.lm)
+    spec = cases.LfsrSpec(spec.lk, taps or spec.taps,
+                          out_taps or spec.out_taps, spec.lm)
+    lk, lm = spec.lk, spec.lm
+    if value is None:
+        key = [rng.getrandbits(1) for _ in range(lk)]
+    elif 0 <= value < 1 << lk:
         key = [(value >> (lk - 1 - i)) & 1 for i in range(lk)]
     else:
-        key = [rng.getrandbits(1) for _ in range(lk)]
+        raise ValueError(f"key {args.key_hex}: does not fit {lk} bits")
     message = [rng.getrandbits(1) for _ in range(lm)]
     cipher = cases.lfsr_encrypt(spec, key, message)
     if lm < lk:
@@ -204,10 +206,8 @@ def build_parser():
     p.add_argument("--model", required=True,
                    help="model file path or bundled fixture name")
     p.add_argument("--steps", default="5")
-    p.add_argument("--algebra", default="poly",
-                   choices=("explicit", "logical", "poly"))
-    p.add_argument("--mode", default="minkowski",
-                   choices=("minkowski", "exact"))
+    p.add_argument("--algebra", default="poly", choices=ALGEBRAS)
+    p.add_argument("--mode", default="minkowski", choices=MODES)
     p.add_argument("--break-next-state-deps", action="store_true")
     p.add_argument("--out")
     p.add_argument("--format", default="csv", choices=("csv", "json"))

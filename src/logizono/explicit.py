@@ -106,33 +106,37 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
 
     Returns the list [R_0, ..., R_steps] of joint ExplicitSets.
     """
-    return list(itertools.islice(
-        explicit_steps(model, break_next_state_deps, cap), steps + 1))
+    sets = [initial_joint(model, cap)]
+    for k in range(steps):
+        sets.append(explicit_step(model, sets[-1], k, cap,
+                                  break_next_state_deps))
+    return sets
 
 
-def explicit_steps(model, break_next_state_deps, cap):
-    """Yield R_0, R_1, ... as reach_explicit defines them, each joint set
-    computed when it is asked for."""
-    from .model import next_state_refs
-
+def initial_joint(model, cap):
+    """R_0: the product of the state variables' initial sets, as a joint
+    ExplicitSet."""
     check_cap("joint set", math.prod(len(set(v.init))
                                      for v in model.state_vars), cap, step=0)
-    reached = ExplicitSet.from_bits(
+    return ExplicitSet.from_bits(
         sum(v.dim for v in model.state_vars),
         map(_joint, itertools.product(*[v.init for v in model.state_vars])))
-    axes = sorted({r for name in model.order
-                   for r in next_state_refs(model.updates[name])})
-    for k in itertools.count():
-        yield reached
-        input_sets = [model.input_set(v, k) for v in model.input_vars]
-        nxt = _successors(model, reached, input_sets, [{}], k, cap)
-        if break_next_state_deps:
-            parts = [split_joint(model, p) for p in nxt.points]
-            values = [{q[a] for q in parts} for a in axes]
-            fixed = [{a + "'": v for a, v in zip(axes, combo)}
-                     for combo in itertools.product(*values)]
-            nxt = _successors(model, reached, input_sets, fixed, k, cap)
-        reached = nxt
+
+
+def explicit_step(model, reached, k, cap, break_deps=False):
+    """R_(k+1) from reached, R_k, as reach_explicit defines it."""
+    from .model import next_state_refs
+
+    input_sets = [model.input_set(v, k) for v in model.input_vars]
+    nxt = _successors(model, reached, input_sets, [{}], k, cap)
+    if not break_deps:
+        return nxt
+    axes = sorted(set().union(*map(next_state_refs, model.updates.values())))
+    parts = [split_joint(model, p) for p in nxt.points]
+    values = [{q[a] for q in parts} for a in axes]
+    fixed = [{a + "'": v for a, v in zip(axes, combo)}
+             for combo in itertools.product(*values)]
+    return _successors(model, reached, input_sets, fixed, k, cap)
 
 
 def _successors(model, reached, input_sets, fixed, k, cap):

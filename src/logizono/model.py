@@ -72,14 +72,12 @@ def _tokenize(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
+        if not m:
             rest = text[pos:]
             if rest.strip():
                 bad = pos + len(rest) - len(rest.lstrip())
                 raise ModelError(
                     f"unexpected character {text[bad]!r}", position=bad + 1)
-            break
-        if m.lastgroup is None:
             break
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
@@ -457,27 +455,40 @@ _PZ_COMPACTING = {mode: {kind: partial(_compacted, gates, kind)
                                       ("minkowski", _PZ_MINK))}
 
 
+ALGEBRAS = ("explicit", "logical", "poly")
+MODES = ("minkowski", "exact")
+
+
+def check_algebra(algebra, mode, break_deps=False):
+    """Raise ModelError unless algebra and mode name a lane: exact mode
+    needs poly, and break_deps (broken next-state deps) the oracle."""
+    if algebra not in ALGEBRAS:
+        raise ModelError(f"unknown algebra {algebra!r}")
+    if mode not in MODES:
+        raise ModelError(f"unknown mode {mode!r}")
+    if mode == "exact" and algebra != "poly":
+        raise ModelError("exact mode requires the poly algebra")
+    if break_deps and algebra != "explicit":
+        raise ModelError(
+            "break-next-state-deps applies to the explicit oracle only")
+
+
 def eval_expr(expr, env, algebra, mode="minkowski"):
     """Evaluate an expression against a set algebra.
 
-    algebra is one of "explicit", "logical", "poly"; mode "exact" is only
+    algebra is one of ALGEBRAS and mode one of MODES; mode "exact" is only
     meaningful for poly, where repeated references to one variable then
     share factors. The explicit algebra enumerates concrete samples with
     one shared sample per distinct variable, preserving dependencies.
     """
-    if mode not in ("minkowski", "exact"):
-        raise ModelError(f"unknown mode {mode!r}")
-    if mode == "exact" and algebra != "poly":
-        raise ModelError("exact mode requires the poly algebra")
+    check_algebra(algebra, mode)
     if algebra == "explicit":
         return _eval_explicit(expr, env)
     if algebra == "logical":
         return fold(expr, env, lz.LogicalZonotope.singleton, lz.lz_not,
                     _LZ_GATES)
-    if algebra == "poly":
-        return fold(expr, env, pz.PolyLogicalZonotope.singleton, pz.pz_not,
-                    _PZ_COMPACTING[mode])
-    raise ModelError(f"unknown algebra {algebra!r}")
+    return fold(expr, env, pz.PolyLogicalZonotope.singleton, pz.pz_not,
+                _PZ_COMPACTING[mode])
 
 
 def _eval_explicit(expr, env):

@@ -16,8 +16,9 @@ gates on polynomial logical zonotopes, the paper's method: the poly
 lanes hold the sets those gates represent. What each lane carries from
 one step to the next:
 
-- explicit: the oracle (explicit.reach_explicit) enumerates every
-  (state, input) sample.
+- explicit: the oracle, the set of reached joint vectors, from the same
+  R_0 as the exact lane (explicit.initial_joint); each step
+  (explicit.explicit_step) enumerates every (state, input) sample.
 - logical: one logical zonotope per variable, held as packed ints (the
   center's and one per generator column); vectors are built only at the
   API and JSON boundary. Updates run in generator space; each result is
@@ -54,8 +55,8 @@ one step to the next:
 
 When the inputs are the same every step and a step's state equals the
 one before, the run has hit a fixpoint and the remaining steps share the
-last record. A state fixes its sets, and on every lane equal sets give
-equal states.
+last record; the oracle takes no such shortcut. A state fixes its
+sets, and on every lane equal sets give equal states.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ from .errors import DEFAULT_CAP, CapacityError, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
-from .model import eval_expr, fold
-
-ALGEBRAS = ("explicit", "logical", "poly")
+from .model import check_algebra, eval_expr, fold
 
 
 class StepRecord(Value):
@@ -177,15 +176,14 @@ def joint_size(state, algebra, cap=DEFAULT_CAP):
     cap is the most elements any one value table may hold; a 2^k table
     above it raises CapacityError. The count itself is never checked.
     """
+    check_algebra(algebra, "minkowski")
     if algebra == "explicit":
         return len(state)
     if algebra == "logical":
         sizes = [1 << lz.lz_reduce(z).gamma for z in state.values()]
-    elif algebra == "poly":
+    else:
         sizes = [len(_component_vectors(state, comp, cap))
                  for comp in _components(state)]
-    else:
-        raise ModelError(f"unknown algebra {algebra!r}")
     return math.prod(sizes)
 
 
@@ -204,30 +202,9 @@ def reach(model, steps, algebra, mode="minkowski", *,
         raise ModelError(
             f"steps: must be non-negative, found {requested[0]}")
     horizon = max(requested) if requested else 0
-    if algebra not in ALGEBRAS:
-        raise ModelError(f"unknown algebra {algebra!r}")
-    if mode not in ("minkowski", "exact"):
-        raise ModelError(f"unknown mode {mode!r}")
-    if mode == "exact" and algebra != "poly":
-        raise ModelError("exact mode requires the poly algebra")
-    if break_next_state_deps and algebra != "explicit":
-        raise ModelError(
-            "break-next-state-deps applies to the explicit oracle only")
-    if algebra == "explicit":
-        return _reach_explicit(model, horizon, break_next_state_deps, cap)
-    return _reach_lane(model, horizon, algebra, mode, cap)
-
-
-def _reach_explicit(model, horizon, break_deps, cap):
-    joints = ex.explicit_steps(model, break_deps, cap)
-    records = []
-    for k in range(horizon + 1):
-        t0 = time.perf_counter()
-        joint = next(joints)
-        elapsed = time.perf_counter() - t0
-        records.append(_record(model, _split_oracle, len, joint, k,
-                               elapsed if k else 0.0))
-    return ReachResult("explicit", "minkowski", tuple(records))
+    check_algebra(algebra, mode, break_next_state_deps)
+    return _reach_lane(model, horizon, algebra, mode, cap,
+                       break_next_state_deps)
 
 
 def _split_oracle(model, joint):
@@ -238,17 +215,20 @@ def _split_oracle(model, joint):
                                        [q[name] for q in parts])
 
 
-def _reach_lane(model, horizon, algebra, mode, cap):
-    # a lane: its initial state, step(model, state, k, cap) -> next state,
-    # size(state) -> its joint size, split(model, state) -> a function of
-    # a variable's name giving its ExplicitSet. The cap is checked where a
-    # set is computed, never on size; a lane raises without a step, and k
-    # is the step being built.
+def _reach_lane(model, horizon, algebra, mode, cap, break_deps):
+    # a lane (the oracle, logical, Minkowski or exact): its initial state,
+    # step(model, state, k, cap) -> next state, size(state) -> its joint
+    # size, split(model, state) -> a function of a variable's name giving
+    # its ExplicitSet. The cap is checked where a set is computed, never
+    # on size; an error raised without a step gets k, the step being
+    # built, and the oracle's name their own.
     k = 0
     try:
-        if mode == "exact":
-            state, step, size, split = (_exact_initial(model, cap),
-                                        _exact_step, len, _split)
+        if algebra == "explicit" or mode == "exact":
+            state, size = ex.initial_joint(model, cap), len
+            step, split = ((partial(ex.explicit_step, break_deps=break_deps),
+                            _split_oracle) if algebra == "explicit"
+                           else (_exact_step, _split))
         elif algebra == "logical":
             state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
                      for v in model.state_vars}
@@ -268,7 +248,8 @@ def _reach_lane(model, horizon, algebra, mode, cap):
             split = lambda model, st: lambda name: ex.ExplicitSet.from_bits(
                 model.state(name).dim, _values(st[name]))
         records = [_record(model, split, size, state, 0, 0.0)]
-        constant = all(v.constant for v in model.input_vars)
+        constant = algebra != "explicit" and all(
+            v.constant for v in model.input_vars)
         fixpoint_at = -1
         for k in range(1, horizon + 1):
             t0 = time.perf_counter()
@@ -584,17 +565,6 @@ def _lane_bytes(model):
     width = sum(v.dim for v in model.state_vars)
     return next((n for n in sorted(_TYPECODES) if 8 * n >= width),
                 (width + 7) // 8)
-
-
-def _exact_initial(model, cap):
-    inits = [{p.bits for p in var.init} for var in model.state_vars]
-    check_cap("joint set", math.prod(map(len, inits)), cap)
-    points = [0]
-    off = 0
-    for var, values in zip(model.state_vars, inits):
-        points = [q | (v << off) for q in points for v in values]
-        off += var.dim
-    return ex.ExplicitSet.from_bits(off, points)
 
 
 def _exact_step(model, joint, k, cap):

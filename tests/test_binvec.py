@@ -57,6 +57,12 @@ def test_string_round_trip():
     assert v[0] == 0 and v[1] == 1
 
 
+@pytest.mark.parametrize("i", [-1, 5])
+def test_index_out_of_range(i):
+    with pytest.raises(IndexError):
+        BinaryVector.from_string("01101")[i]
+
+
 @given(vector_pairs())
 def test_xor_commutes(pair):
     a, b = pair
@@ -79,6 +85,13 @@ def test_not_is_xor_with_ones(pair):
 def test_matrix_columns_checked():
     with pytest.raises(DimensionError):
         BinaryMatrix(2, (BinaryVector.zeros(3),))
+
+
+def test_matrix_hstack_rejects_other_row_counts():
+    m2 = BinaryMatrix(2, (BinaryVector(2, 1),))
+    m3 = BinaryMatrix(3, (BinaryVector(3, 1),))
+    with pytest.raises(DimensionError, match="row counts differ"):
+        m2.hstack(m3)
 
 
 def test_matrix_hstack():

@@ -203,6 +203,16 @@ def test_lfsr_round_trip(capsys):
     assert re.search(r" time_seconds=\d+\.\d{6} ", out)
 
 
+def test_lfsr_short_message_warns(capsys):
+    rc, out, err = run(capsys, ["lfsr", "--lk", "8", "--lm", "4",
+                                "--seed", "0"])
+    # four bits leave several keys, and the search returns another one
+    assert rc == cli.EXIT_FAIL
+    assert "recovered=false " in out and "lk=8 lm=4" in out
+    assert err == ("warning: 4 keystream bits may not determine a "
+                   "8-bit key\n")
+
+
 def test_lfsr_key_hex(capsys):
     rc, out, _ = run(capsys, ["lfsr", "--lk", "16", "--key-hex", "BEEF",
                               "--seed", "3"])

@@ -98,6 +98,12 @@ def test_enclose_points_empty_rejected():
         lz_enclose_points([])
 
 
+def test_contains_rejects_a_point_of_another_width():
+    z = lz_enclose_points([bv([0, 1]), bv([1, 1])])
+    with pytest.raises(DimensionError, match="dim 2 vs 3"):
+        lz_contains(z, bv([0, 1, 1]))
+
+
 @given(logical_zonotopes())
 def test_reduce_preserves_set(z):
     r = lz_reduce(z)

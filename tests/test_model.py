@@ -190,6 +190,11 @@ def test_rejects_dim_mismatch_and_empty_sets():
     (lambda d: d["vars"][0].update(init=["0a"]), "vars[0].init[0]:"),
     (lambda d: d["vars"][1].pop("set"), "vars[1].steps: missing"),
     (lambda d: d["vars"][1].update(set=[]), "vars[1].set: set must be"),
+    (lambda d: d["vars"].__setitem__(1, {"name": "u", "role": "input",
+                                         "dim": 2, "steps": []}),
+     "vars[1].steps: per-step input list is empty"),
+    (lambda d: d["updates"].update(z="x"),
+     "updates.z: not a declared state"),
     (lambda d: d["vars"].__setitem__(1, "u"), "vars[1]: expected an object"),
     (lambda d: d.update(vars={}), "vars: expected a list"),
     (lambda d: d.update(updates=["x"]), "updates: expected an object"),

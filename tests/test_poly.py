@@ -173,6 +173,12 @@ def test_encode_points_is_exact():
         assert pz_evaluate(z).points == frozenset(pts)
 
 
+def test_unique_id_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        unique_id(-1)
+    assert unique_id(0) == ()
+
+
 def test_point_constructors_reject_mixed_widths():
     # in either order: encoding sorts the points by their bits, and once
     # took a narrower point's bits into a wider zonotope silently

@@ -6,13 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from logizono import explicit as ex, logical as lz
+from logizono import cli, explicit as ex, logical as lz
 from logizono.binvec import BinaryMatrix, BinaryVector, Gate
 from logizono.cases import (boolean10_model, boolean_document,
                              intersection_model)
 from logizono.errors import DEFAULT_CAP, CapacityError, ModelError
-from logizono.model import (Const, InputVar, Model, Not, VarRef,
-                            parse_model)
+from logizono.model import (ALGEBRAS, MODES, Const, InputVar, Model, Not,
+                            VarRef, eval_expr, parse_expr, parse_model)
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
 from logizono.reach import (_lane_bytes, _set_ops, _value_set, _values,
                             joint_size, poly_joint_set, reach, reach_report)
@@ -98,6 +98,41 @@ def test_argument_validation():
     for algebra in ("poly", "logical", "explicit"):
         with pytest.raises(ModelError, match="unknown mode 'fuzzy'"):
             reach(model, 1, algebra, "fuzzy")
+
+
+@pytest.mark.parametrize("algebra, mode, broken, message", [
+    ("fuzzy", "minkowski", False, "unknown algebra 'fuzzy'"),
+    ("logical", "exact", False, "exact mode requires the poly algebra"),
+    ("explicit", "exact", False, "exact mode requires the poly algebra"),
+    ("poly", "fuzzy", False, "unknown mode 'fuzzy'"),
+    ("logical", "minkowski", True,
+     "break-next-state-deps applies to the explicit oracle only"),
+    ("poly", "minkowski", True,
+     "break-next-state-deps applies to the explicit oracle only"),
+    ("poly", "exact", True,
+     "break-next-state-deps applies to the explicit oracle only"),
+])
+def test_one_algebra_check(capsys, algebra, mode, broken, message):
+    # reach, eval_expr and the reach command reject a bad lane alike
+    with pytest.raises(ModelError) as err:
+        reach(identity_model(), 1, algebra, mode,
+              break_next_state_deps=broken)
+    assert str(err.value) == message
+    if not broken:  # eval_expr has no steps, so no dependencies to break
+        with pytest.raises(ModelError) as err:
+            eval_expr(parse_expr("x"), {}, algebra, mode)
+        assert str(err.value) == message
+    argv = ["reach", "--model", "intersection", "--algebra", algebra,
+            "--mode", mode] + ["--break-next-state-deps"] * broken
+    if algebra in ALGEBRAS and mode in MODES:
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        # a name outside the tuples is not among the command's choices
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == cli.EXIT_USAGE
+        assert "invalid choice: 'fuzzy'" in capsys.readouterr().err
 
 
 def test_random_models_soundness_and_exactness():
@@ -339,11 +374,14 @@ def test_reports_round_trip():
                               "time_seconds": doc["rows"][1]["time_seconds"],
                               "size": 2}
     assert doc["sets"]["3"]["x"] == sorted(["00", "11"])
+    with pytest.raises(ModelError, match="unknown format 'xml'"):
+        reach_report(res, [0], fmt="xml")
 
 
 def test_oracle_rows_report_each_steps_own_time(monkeypatch):
-    # two clock readings per step; step k takes k seconds, step 0 is free
-    readings = iter([0.0, 5.0, 10.0, 11.0, 20.0, 22.0, 30.0, 33.0])
+    # two clock readings per step from step 1; step k takes k seconds, and
+    # step 0, R_0, is recorded as free without reading the clock
+    readings = iter([10.0, 11.0, 20.0, 22.0, 30.0, 33.0])
     monkeypatch.setattr(reach_module, "time",
                         SimpleNamespace(perf_counter=readings.__next__))
     res = reach(intersection_model(), 3, "explicit")

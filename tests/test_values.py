@@ -13,7 +13,7 @@ from logizono.explicit import ExplicitSet
 from logizono.logical import LogicalZonotope, PackedZonotope
 from logizono.model import (Const, GateExpr, InputVar, Model, Not, StateVar,
                             VarRef)
-from logizono.poly import PolyLogicalZonotope
+from logizono.poly import PolyLogicalZonotope, pz_encode_points
 from logizono.reach import ReachResult, StepRecord
 
 
@@ -111,6 +111,8 @@ def test_pos_is_kept_but_not_compared():
     (lambda: LfsrSpec(lm=0), ValueError),
     (lambda: LfsrSpec(8, (), (8,), 16), ValueError),
     (lambda: LfsrSpec(8, (9,), (8,), 16), ValueError),
+    (lambda: BinaryVector.from_bits([0, 2, 1]), ValueError),
+    (lambda: pz_encode_points([]), ValueError),
 ])
 def test_constructors_still_validate(build, error):
     # DimensionError is a ValueError
