@@ -11,7 +11,7 @@ import math
 from functools import cached_property
 
 from .binvec import BinaryVector, Gate, Value, bv_not, bv_op
-from .errors import DEFAULT_CAP, DimensionError, check_cap
+from .errors import DEFAULT_CAP, DimensionError, ModelError, check_cap
 
 
 class ExplicitSet(Value):
@@ -31,7 +31,8 @@ class ExplicitSet(Value):
     @classmethod
     def from_bits(cls, dim, bits):
         """The set of the given packed ints, for the engine: .points checks
-        each one against dim when it builds its vector."""
+        each one against dim when it builds its vector. A frozenset given
+        is kept as .bits, not copied."""
         s = cls.__new__(cls)
         s._set(dim, frozenset(bits))
         return s
@@ -104,8 +105,11 @@ def reach_explicit(model, steps, *, break_next_state_deps=False,
     successors, and the samples are walked again once per combination of
     them.
 
-    Returns the list [R_0, ..., R_steps] of joint ExplicitSets.
+    Returns the list [R_0, ..., R_steps] of joint ExplicitSets; a negative
+    steps raises ModelError, as reach does.
     """
+    if steps < 0:
+        raise ModelError(f"steps: must be non-negative, found {steps}")
     sets = [initial_joint(model, cap)]
     for k in range(steps):
         sets.append(explicit_step(model, sets[-1], k, cap,

@@ -48,10 +48,14 @@ one step to the next:
   big int, one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that
   holds the joint width (more bytes above 64 bits), and applies each gate
   to all lanes with one bitwise operation, once per combination of input
-  values; a record packs it the same way once, at the first read of
-  var_sets, and takes each variable's set off the lanes by shift and mask. This is the set that
-  the exact pz_* gates' zonotopes represent, reached without their
-  generator products; the lane holds no zonotope.
+  values. The combinations' unpacked lanes are merged into the step's
+  frozenset in one union, which its ExplicitSet keeps; they are merged
+  early only before their count plus the set's size would pass the cap,
+  which is checked after each merge. A record packs the set the same way
+  once, at the first read of var_sets, and takes each variable's set off
+  the lanes by shift and mask. This is the set that the exact pz_* gates'
+  zonotopes represent, reached without their generator products; the
+  lane holds no zonotope.
 
 When the inputs are the same every step and a step's state equals the
 one before, the run has hit a fixpoint and the remaining steps share the
@@ -571,8 +575,13 @@ def _exact_step(model, joint, k, cap):
     """The exact-lane state one step after joint.
 
     The updates are folded once per combination of input values, each
-    input value replicated into every lane, so no table holds more than
-    len(joint) lanes.
+    input value replicated into every lane. Each combination's unpacked
+    lanes wait in a list, and the step's frozenset is built from them in
+    one union, which the ExplicitSet keeps without a copy. Pending lanes
+    are merged into the set before their count plus its size would pass
+    cap, and the cap is checked after each merge: the step raises iff the
+    set it builds holds more than cap vectors, and holds at most cap plus
+    one combination's lanes at a time.
     """
     packed, ones, count, nbytes = _pack(model, joint)
     env = {}
@@ -592,7 +601,7 @@ def _exact_step(model, joint, k, cap):
     choices = [[u * ones for u in sorted({p.bits for p in
                                           model.input_set(v, k)})]
                for v in model.input_vars]
-    out = set()
+    out, pending = frozenset(), []
     for combo in itertools.product(*choices):
         env.update(zip(names, combo))
         for name in model.order:
@@ -600,9 +609,19 @@ def _exact_step(model, joint, k, cap):
         nxt = 0
         for key, off in placed:
             nxt |= env[key] << off
-        out.update(_unpack(nxt, count, nbytes))
-        check_cap("joint set", len(out), cap)
-    return ex.ExplicitSet.from_bits(joint.dim, out)
+        if pending and len(out) + (len(pending) + 1) * count > cap:
+            out = _merge(out, pending, cap)
+        pending.append(_unpack(nxt, count, nbytes))
+    return ex.ExplicitSet.from_bits(joint.dim, _merge(out, pending, cap))
+
+
+def _merge(out, pending, cap):
+    """out with the pending lanes added, a new frozenset; pending is
+    emptied and the cap checked on the result."""
+    out = out.union(*pending)
+    pending.clear()
+    check_cap("joint set", len(out), cap)
+    return out
 
 
 def _pack(model, joint):

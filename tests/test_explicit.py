@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logizono.binvec import BinaryVector, Gate, bv_op
 from logizono.cases import intersection_model
-from logizono.errors import CapacityError, DimensionError
+from logizono.errors import CapacityError, DimensionError, ModelError
 from logizono.explicit import (ExplicitSet, reach_explicit, set_minkowski,
                                set_not, split_joint)
 from logizono.model import eval_concrete, next_state_refs, parse_model
@@ -70,6 +70,14 @@ def test_points_built_on_first_read_then_cached(built):
     assert s.points is first
     assert built[0] == 10
     assert first == frozenset(BinaryVector(4, b) for b in range(10))
+
+
+def test_from_bits_keeps_a_given_frozenset():
+    # the exact lane builds each step's frozenset once and hands it over
+    bits = frozenset({0, 3, 5})
+    assert ExplicitSet.from_bits(3, bits).bits is bits
+    listed = ExplicitSet.from_bits(3, [0, 3, 5])
+    assert isinstance(listed.bits, frozenset) and listed.bits == bits
 
 
 def test_points_check_each_value_against_the_width():
@@ -179,6 +187,13 @@ def test_reach_point_cap():
     with pytest.raises(CapacityError) as err:
         reach_explicit(model, 3, cap=2)
     assert err.value.step == 1
+
+
+@pytest.mark.parametrize("steps", [-1, -2])
+def test_reach_rejects_negative_steps(steps):
+    with pytest.raises(ModelError) as err:
+        reach_explicit(intersection_model(), steps)
+    assert str(err.value) == f"steps: must be non-negative, found {steps}"
 
 
 def reference_reach(model, steps, break_deps):

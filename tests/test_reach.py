@@ -14,8 +14,9 @@ from logizono.errors import DEFAULT_CAP, CapacityError, ModelError
 from logizono.model import (ALGEBRAS, MODES, Const, InputVar, Model, Not,
                             VarRef, eval_expr, parse_expr, parse_model)
 from logizono.poly import PolyLogicalZonotope, pz_encode_points, unique_id
-from logizono.reach import (_lane_bytes, _set_ops, _value_set, _values,
-                            joint_size, poly_joint_set, reach, reach_report)
+from logizono.reach import (_exact_step, _lane_bytes, _set_ops, _value_set,
+                            _values, joint_size, poly_joint_set, reach,
+                            reach_report)
 
 from conftest import FUNCS, GATES, random_lane_model
 
@@ -524,6 +525,59 @@ def test_capacity_error_names_the_step(algebra, mode):
     with pytest.raises(CapacityError) as err:
         reach(model, 2, algebra, mode, cap=4)
     assert err.value.step == 2
+
+
+def assert_exact_lane_raises_at_first_step_over_cap(model, horizon):
+    sizes = reach(model, horizon, "poly", "exact", cap=2**40).sizes()
+    caps = {c for s in sizes for c in (s - 1, s, s + 1)} | {0, 1}
+    for cap in sorted(caps):
+        over = [k for k, s in enumerate(sizes) if s > cap]
+        if not over:
+            assert reach(model, horizon, "poly", "exact", cap=cap).sizes() \
+                == sizes
+            continue
+        with pytest.raises(CapacityError) as err:
+            reach(model, horizon, "poly", "exact", cap=cap)
+        assert (err.value.what, err.value.step) == ("joint set", over[0])
+        # the count is the size at the merge that passed the cap
+        assert cap < err.value.count <= sizes[over[0]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_lane_cap_rule_on_boolean10(seed):
+    assert_exact_lane_raises_at_first_step_over_cap(boolean10_model(seed), 5)
+
+
+def test_exact_lane_cap_rule_on_random_models():
+    rng = random.Random(23)
+    for _ in range(25):
+        assert_exact_lane_raises_at_first_step_over_cap(
+            *random_lane_model(rng))
+
+
+def test_exact_step_cap_below_one_combinations_lanes():
+    # 16 lanes per input combination against a cap of 4: pending lanes are
+    # merged before each further combination, so the step raises only when
+    # the set it builds holds more than 4 vectors
+    joint = ex.ExplicitSet.from_bits(4, range(16))
+    for update, size in (("(x & 0011) ^ u", 4), ("x & u", 4), ("x ^ u", 16)):
+        model = parse_model({
+            "vars": [
+                {"name": "x", "role": "state", "dim": 4,
+                 "init": [format(i, "04b") for i in range(16)]},
+                {"name": "u", "role": "input", "dim": 4,
+                 "set": ["0000", "0001", "0011"]},
+            ],
+            "updates": {"x": update},
+        })
+        if size <= 4:
+            got = _exact_step(model, joint, 0, 4)
+            assert got == _exact_step(model, joint, 0, 2**40)
+            assert len(got) == size
+        else:
+            with pytest.raises(CapacityError) as err:
+                _exact_step(model, joint, 0, 4)
+            assert err.value.what == "joint set" and err.value.count > 4
 
 
 def minkowski_image(expr, env):
