@@ -22,8 +22,7 @@ from importlib import resources
 from .binvec import BinaryVector, Gate, bv_op
 from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
-from .model import (ALGEBRAS, MODES, _LZ_GATES, _PZ_EXACT, _PZ_MINK, _field,
-                    _matrix, _typed, _vector, load_model, read_json)
+from .model import ALGEBRAS, MODES, load_model, read_json
 from .reach import _set_ops, _value_set, _values, reach, reach_report
 
 EXIT_OK = 0
@@ -120,15 +119,10 @@ def cmd_lfsr(args):
 
 
 def cmd_eval(args):
-    doc = _typed(read_json(args.input), dict, "zonotope")
-    if "E" in doc:
-        z = pz.PolyLogicalZonotope.from_json(doc)
-        points = pz.pz_evaluate(z, cap=_cap())
-    else:
-        text = _field(doc, "c", str, "")
-        c = _vector(text, len(text), "c")
-        z = lz.LogicalZonotope(c, _matrix(doc, "G", c.dim))
-        points = lz.lz_evaluate(z, cap=_cap())
+    doc = read_json(args.input)
+    poly = isinstance(doc, dict) and "E" in doc
+    z = (pz.PolyLogicalZonotope if poly else lz.LogicalZonotope).from_json(doc)
+    points = (pz.pz_evaluate if poly else lz.lz_evaluate)(z, cap=_cap())
     for p in points:
         print(p.to_string())
     return EXIT_OK
@@ -152,13 +146,13 @@ def cmd_selftest(args):
             # the pointwise image; a shared operand gives {g(x, x)}
             want = ex.set_minkowski(sa, pz.pz_evaluate(b), gate)
             same = ex.ExplicitSet.from_points(bv_op(x, x, gate) for x in sa)
-            for got, image in ((_PZ_MINK[gate](a, b), want),
-                               (_PZ_EXACT[gate](a, b), want),
-                               (_PZ_EXACT[gate](a, a), same)):
+            for got, image in ((pz.MINK_GATES[gate](a, b), want),
+                               (pz.EXACT_GATES[gate](a, b), want),
+                               (pz.EXACT_GATES[gate](a, a), same)):
                 failures += pz.pz_evaluate(got) != image
             lwant = ex.set_minkowski(lz.lz_evaluate(la), lz.lz_evaluate(lb),
                                      gate)
-            lgot = lz.lz_evaluate(_LZ_GATES[gate](la, lb))
+            lgot = lz.lz_evaluate(lz.GATES[gate](la, lb))
             failures += (lgot != lwant if gate in exact_gates
                          else not lwant.bits <= lgot.bits)
         failures += _check_set_ops(rng)

@@ -40,6 +40,16 @@ class PackedZonotope(Value):
     def __reduce__(self):
         return self.from_bits, super().__reduce__()[1]
 
+    @staticmethod
+    def _c_and_G(doc):
+        """c and G of a JSON document; a ModelError names the bad field."""
+        from .model import _field, _matrix, _typed, _vector
+
+        _typed(doc, dict, "zonotope")
+        text = _field(doc, "c", str, "")
+        c = _vector(text, len(text), "c")
+        return c, _matrix(doc, "G", c.dim)
+
     def _keep(self, c, G, *more, **vectors):
         """A public constructor's body: check G against c, set the packed
         fields from c, G and the further fields, and keep the vectors."""
@@ -68,6 +78,11 @@ class LogicalZonotope(PackedZonotope):
 
     def __init__(self, c, G):
         self._keep(c, G)
+
+    @classmethod
+    def from_json(cls, doc):
+        """Read a {"c": ..., "G": [...]} document."""
+        return cls(*cls._c_and_G(doc))
 
     @staticmethod
     def singleton(point):

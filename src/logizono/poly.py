@@ -89,15 +89,12 @@ class PolyLogicalZonotope(PackedZonotope):
     @staticmethod
     def from_json(doc):
         """Read a to_json document; a ModelError names the bad field."""
-        from .model import _field, _matrix, _typed, _vector
+        from .model import _field, _matrix, _typed
 
-        _typed(doc, dict, "zonotope")
-        text = _field(doc, "c", str, "")
-        c = _vector(text, len(text), "c")
+        c, G = PackedZonotope._c_and_G(doc)
         ids = tuple(_typed(i, int, f"id[{j}]")
                     for j, i in enumerate(_field(doc, "id", list, "")))
-        return PolyLogicalZonotope(c, _matrix(doc, "G", c.dim),
-                                   _matrix(doc, "E", len(ids)), ids)
+        return PolyLogicalZonotope(c, G, _matrix(doc, "E", len(ids)), ids)
 
 
 def _zonotope(a, cbits, gbits, ebits, ids=None):

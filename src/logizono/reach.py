@@ -1,20 +1,21 @@
 """N-step reachability over the explicit, logical, and poly algebras.
 
-Each step evaluates every update in model.order against the step's input
-sets (a primed reference reads the next-state value computed earlier in
-the same step) and records the joint size, the number of distinct
-concatenated state vectors, and the lane's state. The cap is checked
-where a set or table is computed, never on a record: the initial joint
-product, a step's successor set, a gate image, and a zonotope's points
-when var_sets is read. The oracle names its own step in a CapacityError;
-the other lanes raise it without one, and reach adds the step being
-built. A record splits a variable's set off the state when that
-variable is first read in var_sets, and keeps it; the others are not
-computed. The sets hold packed ints; an ExplicitSet builds its .points,
-the BinaryVectors, only when they are first read. No lane runs the pz_*
-gates on polynomial logical zonotopes, the paper's method: the poly
-lanes hold the sets those gates represent. What each lane carries from
-one step to the next:
+Each lane is one entry of _LANES, which reach looks up once and runs
+through one loop; a new lane is one more entry. Each step evaluates every
+update in model.order against the step's input sets (a primed reference
+reads the next-state value computed earlier in the same step) and records
+the joint size, the number of distinct concatenated state vectors, and
+the lane's state. The cap is checked where a set or table is computed,
+never on a record: the initial joint product, a step's successor set, a
+gate image, and a zonotope's points when var_sets is read. The oracle
+names its own step in a CapacityError; the other lanes raise it without
+one, and reach adds the step being built. A record splits a variable's
+set off the state when that variable is first read in var_sets, and
+keeps it; the others are not computed. The sets hold packed ints; an
+ExplicitSet builds its .points, the BinaryVectors, only when they are
+first read. No lane runs the pz_* gates on polynomial logical zonotopes,
+the paper's method: the poly lanes hold the sets those gates represent.
+What each lane carries from one step to the next:
 
 - explicit: the oracle, the set of reached joint vectors, from the same
   R_0 as the exact lane (explicit.initial_joint); each step
@@ -30,37 +31,25 @@ one step to the next:
   set when x is in the set) up to 12 bits and a frozenset of ints above.
   A step folds each update over those sets: a gate is its pointwise
   image with the operands ranging independently, which is what the
-  pz_mink_* gates compute. By De Morgan each gate is an AND, OR or XOR
-  image of the operands or their complements. An XOR or XNOR image of
-  sets whose sizes add up to more than 2^dim holds every value, so the
-  counts decide it; any other image is built per value y of the smaller
-  operand and stops once it holds every value of its width. On a bitmap
-  the image for one y is the larger operand's bitmap moved along the
-  bits of y that change its values, looked up in one table per width;
-  an XOR image is moved on from the last value's along the bits where
-  the two differ. A complement (NOT, and the operands of NAND and NOR)
-  is the bitmap read backwards. The gates are built once per
-  width and cap. The variables vary independently, so the joint size
-  is the product of the set sizes. Each set is the one that a
-  variable's polynomial logical zonotope represents under the Minkowski
-  gates; the lane holds no zonotope.
-- poly, exact: the set of reached joint vectors. A step packs it into one
-  big int, one lane per vector, the narrowest of 1, 2, 4 or 8 bytes that
-  holds the joint width (more bytes above 64 bits), and applies each gate
-  to all lanes with one bitwise operation, once per combination of input
-  values. The combinations' unpacked lanes are merged into the step's
-  frozenset in one union, which its ExplicitSet keeps; they are merged
-  early only before their count plus the set's size would pass the cap,
-  which is checked after each merge. A record packs the set the same way
-  once, at the first read of var_sets, and takes each variable's set off
-  the lanes by shift and mask. This is the set that the exact pz_* gates'
-  zonotopes represent, reached without their generator products; the
+  pz_mink_* gates compute, and _set_ops builds the gates once per width
+  and cap. The variables vary independently, so the joint size is the
+  product of the set sizes. Each set is the one that a variable's
+  polynomial logical zonotope represents under the Minkowski gates; the
   lane holds no zonotope.
+- poly, exact: the set of reached joint vectors. A step packs it into one
+  big int, one lane per vector, and applies each gate to all lanes with
+  one bitwise operation, once per combination of input values
+  (_exact_step). A record packs the set the same way once, at the first
+  read of var_sets, and takes each variable's set off the lanes by shift
+  and mask. This is the set that the exact pz_* gates' zonotopes
+  represent, reached without their generator products; the lane holds
+  no zonotope.
 
-When the inputs are the same every step and a step's state equals the
-one before, the run has hit a fixpoint and the remaining steps share the
-last record; the oracle takes no such shortcut. A state fixes its
-sets, and on every lane equal sets give equal states.
+The logical and Minkowski lanes share one step (_per_variable). When the
+inputs are the same every step and a step's state equals the one before,
+the run has hit a fixpoint and the remaining steps share the last record;
+the oracle takes no such shortcut. A state fixes its sets, and on every
+lane equal sets give equal states.
 """
 
 from __future__ import annotations
@@ -76,7 +65,7 @@ import time
 from array import array
 from collections.abc import Mapping
 from functools import cache, cached_property, partial
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .binvec import INT_GATES, Gate, Value
 from .errors import DEFAULT_CAP, CapacityError, ModelError, check_cap
@@ -207,52 +196,15 @@ def reach(model, steps, algebra, mode="minkowski", *,
             f"steps: must be non-negative, found {requested[0]}")
     horizon = max(requested) if requested else 0
     check_algebra(algebra, mode, break_next_state_deps)
-    return _reach_lane(model, horizon, algebra, mode, cap,
-                       break_next_state_deps)
-
-
-def _split_oracle(model, joint):
-    """Each variable's set by name, by the oracle's own split of its joint
-    set, which is made once."""
-    parts = [ex.split_joint(model, p) for p in joint.points]
-    return lambda name: ex.ExplicitSet(model.state(name).dim,
-                                       [q[name] for q in parts])
-
-
-def _reach_lane(model, horizon, algebra, mode, cap, break_deps):
-    # a lane (the oracle, logical, Minkowski or exact): its initial state,
-    # step(model, state, k, cap) -> next state, size(state) -> its joint
-    # size, split(model, state) -> a function of a variable's name giving
-    # its ExplicitSet. The cap is checked where a set is computed, never
-    # on size; an error raised without a step gets k, the step being
-    # built, and the oracle's name their own.
+    lane = _LANES[mode if algebra == "poly" else algebra]
+    step = (partial(lane.step, break_deps=True) if break_next_state_deps
+            else lane.step)
+    split, size = partial(lane.split, cap=cap), lane.size
     k = 0
     try:
-        if algebra == "explicit" or mode == "exact":
-            state, size = ex.initial_joint(model, cap), len
-            step, split = ((partial(ex.explicit_step, break_deps=break_deps),
-                            _split_oracle) if algebra == "explicit"
-                           else (_exact_step, _split))
-        elif algebra == "logical":
-            state = {v.name: lz.lz_reduce(lz.lz_enclose_points(v.init))
-                     for v in model.state_vars}
-            step = _logical_step
-            # reduced zonotopes: 2^gamma points each, enumerated as they are
-            size = lambda st: 1 << sum(z.gamma for z in st.values())
-            split = lambda model, st: lambda name: lz.lz_points(
-                st[name].dim, st[name].cbits, st[name].gbits, cap,
-                f"set of {name}")
-        else:
-            state = {v.name: _value_set(v.dim, (p.bits for p in v.init))
-                     for v in model.state_vars}
-            step = _minkowski_step
-            size = lambda st: math.prod(
-                len(s) if isinstance(s, frozenset) else s.bit_count()
-                for s in st.values())
-            split = lambda model, st: lambda name: ex.ExplicitSet.from_bits(
-                model.state(name).dim, _values(st[name]))
+        state = lane.initial(model, cap)
         records = [_record(model, split, size, state, 0, 0.0)]
-        constant = algebra != "explicit" and all(
+        constant = lane.fixpoint and all(
             v.constant for v in model.input_vars)
         fixpoint_at = -1
         for k in range(1, horizon + 1):
@@ -273,6 +225,14 @@ def _reach_lane(model, horizon, algebra, mode, cap, break_deps):
             err.step = k
         raise
     return ReachResult(algebra, mode, tuple(records), fixpoint_at)
+
+
+def _split_oracle(model, joint, cap):
+    """Each variable's set by name, by the oracle's own split of its joint
+    set, which is made once."""
+    parts = [ex.split_joint(model, p) for p in joint.points]
+    return lambda name: ex.ExplicitSet(model.state(name).dim,
+                                       [q[name] for q in parts])
 
 
 def _record(model, split, size, state, step, elapsed):
@@ -348,11 +308,6 @@ def _values(s):
         s ^= low
 
 
-def _set_ops(dim, cap):
-    """fold's const, not_ and gates over the sets of width dim."""
-    return (_bitmap_gates if dim <= _BITMAP_WIDTH else _set_gates)(dim, cap)
-
-
 # each gate as an AND, OR or XOR image and the number of operands to
 # complement first, by De Morgan: NAND is the OR of the complements, NOR
 # the AND of the complements, XNOR the XOR with one operand complemented
@@ -364,42 +319,65 @@ _IMAGES = {
 
 
 @cache
-def _set_gates(dim, cap):
-    """fold's const, not_ and gates over sets of ints of width dim, built
-    once per width and cap and shared by every caller, so the gates come
-    in a read-only mapping. A gate is its pointwise image, whose bound,
-    min(a·b, 2^dim) values, is checked against cap before it is built; NOT
-    complements each value.
+def _set_ops(dim, cap):
+    """fold's const, not_ and gates over the sets of width dim, bitmaps up
+    to _BITMAP_WIDTH bits and frozensets above, built once per width and
+    cap and shared by every caller, so the gates come in a read-only
+    mapping. A gate is its pointwise image, whose bound, min(a·b, 2^dim)
+    values, is checked against cap before it is built; NOT complements
+    each value, and is checked on its count.
 
     An XOR or XNOR image of sets whose sizes add up to more than 2^dim
     holds every value: for each z, z ^ a and b (or b's complement) are too
-    large to be disjoint. Any other image grows by one value of the
-    smaller operand at a time and stops once it holds all 2^dim values,
-    since no pair can add more.
+    large to be disjoint. Any other image is the larger operand moved by
+    each value y of the smaller one, y ^ m where the gate complements it;
+    it stops once it holds all 2^dim values, since no pair can add more.
     """
     m = (1 << dim) - 1
+    const, count, complement, full, moves = (
+        _bitmaps if dim <= _BITMAP_WIDTH else _frozensets)(dim)
 
     def not_(a):
-        check_cap("gate image", len(a), cap)
-        return frozenset([x ^ m for x in a])
+        check_cap("gate image", count(a), cap)
+        return complement(a)
 
-    def image(method, flips, a, b):
-        check_cap("gate image", min(len(a) * len(b), m + 1), cap)
-        if method == "__xor__" and len(a) + len(b) > m + 1:
-            return frozenset(range(m + 1))
-        small, large = (a, b) if len(a) <= len(b) else (b, a)
-        if flips:
-            small = [y ^ m for y in small]
-        if flips == 2:
-            large = [x ^ m for x in large]
-        out = set()
-        for y in small:
-            out.update(map(getattr(y, method), large))
-            if len(out) > m:
-                break
-        return frozenset(out)
-    return (lambda value: frozenset((value.bits,)), not_, MappingProxyType(
-        {kind: partial(image, *spec) for kind, spec in _IMAGES.items()}))
+    def gate(method, flips):
+        move, flip = moves[method], m if flips else 0
+
+        def image(a, b):
+            na, nb = count(a), count(b)
+            check_cap("gate image", min(na * nb, m + 1), cap)
+            if method == "__xor__" and na + nb > m + 1:
+                return full()
+            small, large = (a, b) if na <= nb else (b, a)
+            if flips == 2:
+                large = complement(large)
+            return move(small, large, flip)
+        return image
+    return const, not_, MappingProxyType(
+        {kind: gate(*spec) for kind, spec in _IMAGES.items()})
+
+
+def _frozensets(dim):
+    """_set_ops' sets of width dim as frozensets of ints; the full set is
+    built only when asked for, and a move maps the larger operand through
+    y ^ flip for each value y of the smaller one."""
+    m = (1 << dim) - 1
+
+    def move(method):
+        def image(small, large, flip):
+            out = set()
+            for y in small:
+                out.update(map(getattr(y ^ flip, method), large))
+                if len(out) > m:
+                    break
+            return frozenset(out)
+        return image
+    return (lambda value: frozenset((value.bits,)), len,
+            lambda a: frozenset([x ^ m for x in a]),
+            lambda: frozenset(range(m + 1)),
+            {method: move(method) for method in ("__xor__", "__and__",
+                                                 "__or__")})
 
 
 @cache
@@ -426,17 +404,17 @@ def _moving(dim):
 _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
-@cache
-def _bitmap_gates(dim, cap):
-    """The ops of _set_gates over bitmaps of width dim: an image is the
-    union of the larger operand moved by each value y of the smaller one,
-    and a complement is the bitmap read backwards, since x ^ m = m - x.
+def _bitmaps(dim):
+    """_set_ops' sets of width dim as bitmaps: an image is the union of
+    the larger operand moved by each value y of the smaller one, and a
+    complement is the bitmap read backwards, since x ^ m = m - x.
 
     {x op y : x in b} moves b once along each bit of y that changes x: a
-    set bit for XOR and OR, a clear one for AND, and the reverse when the
-    operands are complemented; one _moving lookup gives those bits. XOR
-    moves commute and undo themselves, so the image for y is the one for
-    the value before it moved along the bits where the two differ."""
+    set bit for XOR and OR, a clear one for AND (so and_image flips y by
+    m), and the reverse when the operands are complemented; one _moving
+    lookup gives those bits. XOR moves commute and undo themselves, so
+    the image for y is the one for the value before it moved along the
+    bits where the two differ."""
     m, moving = (1 << dim) - 1, _moving(dim)
     full = (1 << (m + 1)) - 1
     # the bytes that hold the 2^dim bits; below 3 bits that is one byte,
@@ -448,10 +426,6 @@ def _bitmap_gates(dim, cap):
         return int.from_bytes(
             b.to_bytes(size, "little").translate(_REVERSED_BITS),
             "big") >> shift
-
-    def not_(b):
-        check_cap("gate image", b.bit_count(), cap)
-        return complement(b)
 
     # (small, large, flip) -> the image, for each value y of small moving
     # large along the bits of y ^ flip
@@ -470,7 +444,7 @@ def _bitmap_gates(dim, cap):
         return out
 
     def and_image(small, large, flip):
-        out = 0
+        out, flip = 0, flip ^ m
         while small:
             low = small & -small
             b = large
@@ -495,63 +469,33 @@ def _bitmap_gates(dim, cap):
             small ^= low
         return out
 
-    images = {"__xor__": xor_image, "__and__": and_image,
-              "__or__": or_image}
-
-    def gate(method, flips):
-        move = images[method]
-        # AND moves at the clear bits of y, so flip when exactly one of
-        # AND and a complemented small operand holds
-        flip = m if (method == "__and__") != (flips > 0) else 0
-
-        def image(a, b):
-            na, nb = a.bit_count(), b.bit_count()
-            check_cap("gate image", min(na * nb, m + 1), cap)
-            if method == "__xor__" and na + nb > m + 1:
-                return full
-            small, large = (a, b) if na <= nb else (b, a)
-            if flips == 2:
-                large = complement(large)
-            return move(small, large, flip)
-        return image
-    return (lambda value: 1 << value.bits, not_, MappingProxyType(
-        {kind: gate(*spec) for kind, spec in _IMAGES.items()}))
+    return (lambda value: 1 << value.bits, int.bit_count, complement,
+            lambda: full, {"__xor__": xor_image, "__and__": and_image,
+                           "__or__": or_image})
 
 
-# --- logical lane -----------------------------------------------------------
+# --- the lanes that keep one value per variable -----------------------------
 
-def _logical_step(model, state, k, cap):
-    """Evaluate the updates in generator space, then reduce each result to
-    its canonical form (set-preserving), which bounds generator counts and
-    makes equal sets equal states."""
-    env = dict(state)
-    for var in model.input_vars:
-        env[var.name] = lz.lz_reduce(
-            lz.lz_enclose_points(model.input_set(var, k)))
-    for name in model.order:
-        env[name + "'"] = eval_expr(model.updates[name], env, "logical")
-    return {v.name: lz.lz_reduce(env[v.name + "'"]) for v in model.state_vars}
+def _per_variable(encode, evaluator, finish, size, split):
+    """The _LANES entry of a lane that keeps one value per state variable.
+    encode(var, points) is the value of a variable's initial set and of an
+    input's set for a step; evaluator(dim, cap) gives (fn, args), and an
+    update of width dim is fn(update, env, *args); finish makes an
+    update's result a state value."""
+    def step(model, state, k, cap):
+        env = dict(state)
+        for var in model.input_vars:
+            env[var.name] = encode(var, model.input_set(var, k))
+        evaluate = {v.name: evaluator(v.dim, cap) for v in model.state_vars}
+        for name in model.order:
+            fn, args = evaluate[name]
+            env[name + "'"] = fn(model.updates[name], env, *args)
+        return {v.name: finish(env[v.name + "'"]) for v in model.state_vars}
 
-
-# --- poly minkowski lane: one set of ints per variable ----------------------
-
-def _minkowski_step(model, state, k, cap):
-    """The per-variable sets one step after state.
-
-    Every Minkowski operation is the exact pointwise image of its gate with
-    the operands ranging independently over their sets, so each update is
-    folded over the sets themselves.
-    """
-    env = dict(state)
-    for var in model.input_vars:
-        env[var.name] = _value_set(
-            var.dim, (p.bits for p in model.input_set(var, k)))
-    ops = {dim: _set_ops(dim, cap)
-           for dim in {v.dim for v in model.state_vars}}
-    for name in model.order:
-        env[name + "'"] = fold(model.updates[name], env,
-                               *ops[model.state(name).dim])
-    return {v.name: env[v.name + "'"] for v in model.state_vars}
+    return SimpleNamespace(
+        initial=lambda model, cap: {v.name: encode(v, v.init)
+                                    for v in model.state_vars},
+        step=step, size=size, split=split, fixpoint=True)
 
 
 # --- poly exact lane: joint vectors as ints in model.state_vars order -------
@@ -583,20 +527,17 @@ def _exact_step(model, joint, k, cap):
     set it builds holds more than cap vectors, and holds at most cap plus
     one combination's lanes at a time.
     """
-    packed, ones, count, nbytes = _pack(model, joint)
-    env = {}
-    ops = {}  # name -> fold's const, not_ and gates for its update
-    placed = []  # (primed name, offset in the joint vector)
-    off = 0
-    for var in model.state_vars:
-        mask = ((1 << var.dim) - 1) * ones
-        env[var.name] = (packed >> off) & mask
-        ops[var.name] = (lambda value: value.bits * ones,
-                         partial(operator.xor, mask),
-                         {kind: partial(fn, m=mask)
-                          for kind, fn in INT_GATES.items()})
-        placed.append((var.name + "'", off))
-        off += var.dim
+    env, ones, count, nbytes = _pack(model, joint)
+    widths = {}  # dim -> fold's const, not_ and gates over its lanes
+    for dim in {v.dim for v in model.state_vars}:
+        mask = ((1 << dim) - 1) * ones
+        widths[dim] = (lambda value: value.bits * ones,
+                       partial(operator.xor, mask),
+                       {kind: partial(fn, m=mask)
+                        for kind, fn in INT_GATES.items()})
+    ops = {v.name: widths[v.dim] for v in model.state_vars}
+    # the results in reverse, each shifted in below the ones before it
+    placed = [(v.name + "'", v.dim) for v in reversed(model.state_vars)]
     names = [v.name for v in model.input_vars]
     choices = [[u * ones for u in sorted({p.bits for p in
                                           model.input_set(v, k)})]
@@ -607,8 +548,8 @@ def _exact_step(model, joint, k, cap):
         for name in model.order:
             env[name + "'"] = fold(model.updates[name], env, *ops[name])
         nxt = 0
-        for key, off in placed:
-            nxt |= env[key] << off
+        for key, dim in placed:
+            nxt = nxt << dim | env[key]
         if pending and len(out) + (len(pending) + 1) * count > cap:
             out = _merge(out, pending, cap)
         pending.append(_unpack(nxt, count, nbytes))
@@ -625,15 +566,22 @@ def _merge(out, pending, cap):
 
 
 def _pack(model, joint):
-    """The joint vectors packed into one int, one lane each; also a 1 at
-    the bottom of every lane, the lane count and the bytes per lane."""
+    """The joint vectors packed into one int, one lane each, and each state
+    variable's lanes, its bits at the bottom of every lane, by name; also
+    a 1 at the bottom of every lane, the lane count and the bytes per
+    lane."""
     count, nbytes = len(joint), _lane_bytes(model)
     if nbytes in _TYPECODES:
         data = array(_TYPECODES[nbytes], joint.bits).tobytes()
     else:
         data = b"".join([p.to_bytes(nbytes, _ORDER) for p in joint.bits])
+    packed = int.from_bytes(data, _ORDER)
     ones = int.from_bytes((1).to_bytes(nbytes, _ORDER) * count, _ORDER)
-    return int.from_bytes(data, _ORDER), ones, count, nbytes
+    lanes, off = {}, 0
+    for var in model.state_vars:
+        lanes[var.name] = (packed >> off) & (((1 << var.dim) - 1) * ones)
+        off += var.dim
+    return lanes, ones, count, nbytes
 
 
 def _unpack(packed, count, nbytes):
@@ -644,18 +592,47 @@ def _unpack(packed, count, nbytes):
             for i in range(0, len(data), nbytes)]
 
 
-def _split(model, joint):
+def _split(model, joint, cap):
     """Each variable's set of the exact-lane state joint by name, packed
-    once: one shift and mask over all lanes per variable."""
-    packed, ones, count, nbytes = _pack(model, joint)
-    dims = {v.name: v.dim for v in model.state_vars}
-    offsets = dict(zip(dims, itertools.accumulate(dims.values(), initial=0)))
+    once; a variable's lanes are unpacked when it is read."""
+    lanes, _, count, nbytes = _pack(model, joint)
+    return lambda name: ex.ExplicitSet.from_bits(
+        model.state(name).dim, _unpack(lanes[name], count, nbytes))
 
-    def one(name):
-        lanes = (packed >> offsets[name]) & (((1 << dims[name]) - 1) * ones)
-        return ex.ExplicitSet.from_bits(dims[name],
-                                        _unpack(lanes, count, nbytes))
-    return one
+
+# --- the lanes --------------------------------------------------------------
+# Each entry gives initial(model, cap), the state at step 0; step(model,
+# state, k, cap), the state after step k; size(state), its joint size;
+# split(model, state, cap), a function of a variable's name giving its
+# ExplicitSet; and fixpoint, whether a state repeated under constant
+# inputs ends the run. reach reads these attributes at each run.
+
+_LANES = {
+    "explicit": SimpleNamespace(
+        initial=ex.initial_joint, step=ex.explicit_step, size=len,
+        split=_split_oracle, fixpoint=False),
+    "logical": _per_variable(
+        encode=lambda var, points: lz.lz_reduce(lz.lz_enclose_points(points)),
+        evaluator=lambda dim, cap: (eval_expr, ("logical",)),
+        finish=lambda z: lz.lz_reduce(z),
+        # reduced zonotopes: 2^gamma points each, enumerated as they are
+        size=lambda st: 1 << sum(z.gamma for z in st.values()),
+        split=lambda model, st, cap: lambda name: lz.lz_points(
+            st[name].dim, st[name].cbits, st[name].gbits, cap,
+            f"set of {name}")),
+    "minkowski": _per_variable(
+        encode=lambda var, points: _value_set(var.dim,
+                                              (p.bits for p in points)),
+        evaluator=lambda dim, cap: (fold, _set_ops(dim, cap)),
+        finish=lambda s: s,
+        size=lambda st: math.prod(len(s) if isinstance(s, frozenset)
+                                  else s.bit_count() for s in st.values()),
+        split=lambda model, st, cap: lambda name: ex.ExplicitSet.from_bits(
+            model.state(name).dim, _values(st[name]))),
+    "exact": SimpleNamespace(
+        initial=ex.initial_joint, step=_exact_step, size=len, split=_split,
+        fixpoint=True),
+}
 
 
 # --- reporting --------------------------------------------------------------

@@ -476,6 +476,39 @@ def test_records_split_var_sets_only_when_read(monkeypatch, algebra, mode):
         assert got.record(10).var_sets is got.record(3).var_sets
 
 
+@pytest.mark.parametrize("algebra, mode, broken, lane", [
+    ("explicit", "minkowski", False, "explicit"),
+    ("explicit", "minkowski", True, "explicit"),
+    ("logical", "minkowski", False, "logical"),
+    ("poly", "minkowski", False, "minkowski"),
+    ("poly", "exact", False, "exact")])
+def test_each_lane_steps_once_per_iterated_step(monkeypatch, algebra, mode,
+                                                broken, lane):
+    # a counter wrapped over a lane entry's step, as a tracer wraps it,
+    # sees one call per step the run iterates: every step on the oracle,
+    # with or without broken dependencies, and up to the fixpoint on the
+    # others (intersection's is step 3, and its twin with per-step inputs
+    # has none)
+    entry = reach_module._LANES[lane]
+    step, calls = entry.step, []
+
+    def counted(model, state, k, cap, **kwargs):
+        calls.append(k)
+        return step(model, state, k, cap, **kwargs)
+
+    monkeypatch.setattr(entry, "step", counted)
+    horizon = 2 if lane == "explicit" else 5
+    model = intersection_model()
+    for model, fixpoint in ((model, 3),
+                            (constant_inputs_per_step(model, horizon), -1)):
+        calls.clear()
+        got = reach(model, horizon, algebra, mode,
+                    break_next_state_deps=broken)
+        want = -1 if lane == "explicit" else fixpoint
+        assert got.fixpoint_at == want
+        assert calls == list(range(horizon if want == -1 else want))
+
+
 def constant_inputs_per_step(model, horizon):
     """A twin of model whose constant input sets are written out as
     per-step lists, so a run of it never takes the fixpoint shortcut."""
@@ -736,7 +769,7 @@ def test_set_gate_image_stops_once_full(monkeypatch):
             return table[y]
 
     monkeypatch.setattr(reach_module, "_moving", lambda dim: CountedTable())
-    reach_module._bitmap_gates.cache_clear()
+    reach_module._set_ops.cache_clear()
     try:
         gates = _set_ops(10, 2**40)[2]
         small, full = _value_set(10, [3, 5, 9]), (1 << 2**10) - 1
@@ -748,7 +781,7 @@ def test_set_gate_image_stops_once_full(monkeypatch):
         assert len(lookups) == 3
     finally:
         monkeypatch.undo()
-        reach_module._bitmap_gates.cache_clear()
+        reach_module._set_ops.cache_clear()
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
