@@ -2,7 +2,7 @@
 
 from .binvec import BinaryMatrix, BinaryVector, Gate, bv_not, bv_op
 from .errors import CapacityError, DimensionError, ModelError, SearchFailure
-from .explicit import ExplicitSet, reach_explicit, set_minkowski, set_not
+from .explicit import ExplicitSet, set_minkowski, set_not
 from .logical import (
     LogicalZonotope, lz_and, lz_compact, lz_contains, lz_enclose_points,
     lz_evaluate, lz_nand, lz_nor, lz_not, lz_or, lz_reduce, lz_xnor, lz_xor,

@@ -60,6 +60,7 @@ class Gate(enum.Enum):
     XNOR = "xnor"
     NAND = "nand"
     NOR = "nor"
+    __hash__ = object.__hash__  # members are singletons: hash by identity
 
 
 # each gate as (base, flip_in, flip_out): AND or XOR over both operands

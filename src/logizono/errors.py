@@ -25,11 +25,11 @@ class CapacityError(RuntimeError):
                 f"over the cap of {self.cap}")
 
 
-def check_cap(what, count, cap, step=None):
+def check_cap(what, count, cap):
     """Raise CapacityError if building `what` with count elements would
-    exceed cap; step, when known, is the reachability step being built."""
+    exceed cap."""
     if count > cap:
-        raise CapacityError(what, count, cap, step)
+        raise CapacityError(what, count, cap)
 
 
 class ModelError(ValueError):

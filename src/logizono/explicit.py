@@ -11,7 +11,7 @@ import math
 from functools import cached_property
 
 from .binvec import BinaryVector, Gate, Value, bv_not, bv_op
-from .errors import DEFAULT_CAP, DimensionError, ModelError, check_cap
+from .errors import DimensionError, check_cap
 
 
 class ExplicitSet(Value):
@@ -88,51 +88,36 @@ def set_not(a: ExplicitSet) -> ExplicitSet:
     return ExplicitSet(a.dim, (bv_not(p) for p in a.points))
 
 
-def reach_explicit(model, steps, *, break_next_state_deps=False,
-                   cap=DEFAULT_CAP):
-    """Exact N-step reachability over joint states.
-
-    The joint state is the concatenation of all state variables in
-    declaration order. Each step enumerates every (state, input) sample
-    and evaluates all updates against that one shared sample, so a
-    reference to an already-computed next-state value inside a later
-    update resolves consistently within the sample.
-
-    With break_next_state_deps, next-state references instead range
-    independently over the set of values the referenced update can take
-    at this step, which mimics analyses that cannot carry the intra-step
-    dependency: those values are the projections of the step's ordinary
-    successors, and the samples are walked again once per combination of
-    them.
-
-    Returns the list [R_0, ..., R_steps] of joint ExplicitSets; a negative
-    steps raises ModelError, as reach does.
-    """
-    if steps < 0:
-        raise ModelError(f"steps: must be non-negative, found {steps}")
-    sets = [initial_joint(model, cap)]
-    for k in range(steps):
-        sets.append(explicit_step(model, sets[-1], k, cap,
-                                  break_next_state_deps))
-    return sets
-
-
 def initial_joint(model, cap):
     """R_0: the product of the state variables' initial sets, as a joint
     ExplicitSet."""
     check_cap("joint set", math.prod(len(set(v.init))
-                                     for v in model.state_vars), cap, step=0)
+                                     for v in model.state_vars), cap)
     return ExplicitSet.from_bits(
         sum(v.dim for v in model.state_vars),
         map(_joint, itertools.product(*[v.init for v in model.state_vars])))
 
 
 def explicit_step(model, reached, k, cap, break_deps=False):
-    """R_(k+1) from reached, R_k, as reach_explicit defines it."""
+    """R_(k+1), the joint ExplicitSet one step after reached, R_k: exact
+    reachability over joint states, the oracle.
+
+    The joint state is the concatenation of all state variables in
+    declaration order. The step enumerates every (state, input) sample
+    and evaluates all updates against that one shared sample, so a
+    reference to an already-computed next-state value inside a later
+    update resolves consistently within the sample.
+
+    With break_deps, next-state references instead range independently
+    over the set of values the referenced update can take at this step,
+    which mimics analyses that cannot carry the intra-step dependency:
+    those values are the projections of the step's ordinary successors,
+    and the samples are walked again once per combination of them.
+    """
     from .model import next_state_refs
 
     input_sets = [model.input_set(v, k) for v in model.input_vars]
-    nxt = _successors(model, reached, input_sets, [{}], k, cap)
+    nxt = _successors(model, reached, input_sets, [{}], cap)
     if not break_deps:
         return nxt
     axes = sorted(set().union(*map(next_state_refs, model.updates.values())))
@@ -140,11 +125,11 @@ def explicit_step(model, reached, k, cap, break_deps=False):
     values = [{q[a] for q in parts} for a in axes]
     fixed = [{a + "'": v for a, v in zip(axes, combo)}
              for combo in itertools.product(*values)]
-    return _successors(model, reached, input_sets, fixed, k, cap)
+    return _successors(model, reached, input_sets, fixed, cap)
 
 
-def _successors(model, reached, input_sets, fixed, k, cap):
-    """The joint vectors the updates give at step k, each (state, input)
+def _successors(model, reached, input_sets, fixed, cap):
+    """The joint vectors the updates give from reached, each (state, input)
     sample walked once per mapping in fixed: a primed reference reads its
     fixed value when the mapping has one, else the value computed earlier
     in the sample."""
@@ -166,7 +151,7 @@ def _successors(model, reached, input_sets, fixed, k, cap):
                 # evaluation order
                 bits = _joint(vals[v.name] for v in model.state_vars)
                 if bits not in seen:
-                    check_cap("joint set", len(seen) + 1, cap, step=k + 1)
+                    check_cap("joint set", len(seen) + 1, cap)
                     seen.add(bits)
     return ExplicitSet.from_bits(reached.dim, seen)
 

@@ -149,7 +149,7 @@ class _Parser:
             return Const(BinaryVector.from_string(text), pos)
         if kind == "name":
             base = text.rstrip("'")
-            if base.upper() in _FUNC_GATES and self.peek()[1] == "(":
+            if text.upper() in _FUNC_GATES and self.peek()[1] == "(":
                 self.take()
                 left = self.parse_infix()
                 self.expect(",")
@@ -172,11 +172,12 @@ def print_expr(expr):
         return expr.value.to_string()
     if isinstance(expr, Not):
         return "!" + print_expr(expr.child)
-    if expr.kind in (Gate.NAND, Gate.NOR, Gate.XNOR):
-        return (f"{expr.kind.name}({print_expr(expr.left)}, "
-                f"{print_expr(expr.right)})")
-    op = {Gate.AND: "&", Gate.XOR: "^", Gate.OR: "|"}[expr.kind]
-    return f"({print_expr(expr.left)} {op} {print_expr(expr.right)})"
+    left, right = print_expr(expr.left), print_expr(expr.right)
+    for op, gate in _INFIX:
+        if gate is expr.kind:
+            return f"({left} {op} {right})"
+    name = next(n for n, gate in _FUNC_GATES.items() if gate is expr.kind)
+    return f"{name}({left}, {right})"
 
 
 def _leaves(expr):

@@ -7,15 +7,14 @@ reads the next-state value computed earlier in the same step) and records
 the joint size, the number of distinct concatenated state vectors, and
 the lane's state. The cap is checked where a set or table is computed,
 never on a record: the initial joint product, a step's successor set, a
-gate image, and a zonotope's points when var_sets is read. The oracle
-names its own step in a CapacityError; the other lanes raise it without
-one, and reach adds the step being built. A record splits a variable's
-set off the state when that variable is first read in var_sets, and
-keeps it; the others are not computed. The sets hold packed ints; an
-ExplicitSet builds its .points, the BinaryVectors, only when they are
-first read. No lane runs the pz_* gates on polynomial logical zonotopes,
-the paper's method: the poly lanes hold the sets those gates represent.
-What each lane carries from one step to the next:
+gate image, and a zonotope's points when var_sets is read. A lane raises
+a CapacityError without a step, and reach adds the step being built. A
+record splits a variable's set off the state when that variable is first
+read in var_sets, and keeps it; the others are not computed. The sets
+hold packed ints; an ExplicitSet builds its .points, the BinaryVectors,
+only when they are first read. No lane runs the pz_* gates on polynomial
+logical zonotopes, the paper's method: the poly lanes hold the sets those
+gates represent. What each lane carries from one step to the next:
 
 - explicit: the oracle, the set of reached joint vectors, from the same
   R_0 as the exact lane (explicit.initial_joint); each step
@@ -157,27 +156,16 @@ def poly_joint_set(state, cap=DEFAULT_CAP):
                                     vectors)
 
 
-def joint_size(state, algebra, cap=DEFAULT_CAP):
-    """Count of distinct concatenated state vectors.
-
-    explicit: cardinality of the joint set. logical: each variable's
-    generators vary independently, so the product of the per-variable
-    set sizes, 2^gamma for gamma independent generators. poly: each group
-    of variables sharing identifiers is enumerated over its k shared
-    factors; groups contribute multiplicatively.
+def joint_size(state, cap=DEFAULT_CAP):
+    """Count of distinct concatenated state vectors of a poly zonotope
+    state: each group of variables sharing identifiers is enumerated over
+    its k shared factors; groups contribute multiplicatively.
 
     cap is the most elements any one value table may hold; a 2^k table
     above it raises CapacityError. The count itself is never checked.
     """
-    check_algebra(algebra, "minkowski")
-    if algebra == "explicit":
-        return len(state)
-    if algebra == "logical":
-        sizes = [1 << lz.lz_reduce(z).gamma for z in state.values()]
-    else:
-        sizes = [len(_component_vectors(state, comp, cap))
-                 for comp in _components(state)]
-    return math.prod(sizes)
+    return math.prod(len(_component_vectors(state, comp, cap))
+                     for comp in _components(state))
 
 
 # --- the engine -------------------------------------------------------------

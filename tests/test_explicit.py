@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from logizono.binvec import BinaryVector, Gate, bv_op
 from logizono.cases import intersection_model
-from logizono.errors import CapacityError, DimensionError, ModelError
-from logizono.explicit import (ExplicitSet, reach_explicit, set_minkowski,
-                               set_not, split_joint)
+from logizono.errors import CapacityError, DimensionError
+from logizono.explicit import ExplicitSet, set_minkowski, set_not, split_joint
 from logizono.model import eval_concrete, next_state_refs, parse_model
+from logizono.reach import reach
 
 from conftest import random_lane_model
 
@@ -131,13 +131,18 @@ def test_not_involution(s):
     assert set_not(set_not(s)).points == s.points
 
 
+def oracle_sets(model, steps, **kw):
+    """[R_0, ..., R_steps], the joint sets of the explicit lane's records."""
+    return [r.joint_set for r in reach(model, steps, "explicit", **kw).records]
+
+
 def test_reach_identity_model():
     model = parse_model({
         "vars": [{"name": "x", "role": "state", "dim": 2,
                   "init": ["00", "11"]}],
         "updates": {"x": "x"},
     })
-    sets = reach_explicit(model, 4)
+    sets = oracle_sets(model, 4)
     for s in sets:
         assert s.points == eset("00", "11").points
 
@@ -147,7 +152,7 @@ def test_reach_period_two_flip():
         "vars": [{"name": "x", "role": "state", "dim": 2, "init": ["00"]}],
         "updates": {"x": "!x"},
     })
-    sets = reach_explicit(model, 2)
+    sets = oracle_sets(model, 2)
     assert sets[1].points == eset("11").points
     assert sets[2].points == eset("00").points
 
@@ -161,7 +166,7 @@ def test_reach_joint_follows_declaration_order():
         "order": ["b", "a"],
     })
     for broken in (False, True):
-        sets = reach_explicit(model, 2, break_next_state_deps=broken)
+        sets = oracle_sets(model, 2, break_next_state_deps=broken)
         assert [s.to_strings() for s in sets] == [["001"], ["101"], ["001"]]
 
 
@@ -171,7 +176,7 @@ def test_reach_singletons_simulate_trajectory():
                  {"name": "u", "role": "input", "dim": 1, "set": ["1"]}],
         "updates": {"x": "x ^ u"},
     })
-    sets = reach_explicit(model, 3)
+    sets = oracle_sets(model, 3)
     assert [len(s) for s in sets] == [1, 1, 1, 1]
     assert sets[1].points == eset("0").points
 
@@ -185,15 +190,8 @@ def test_reach_point_cap():
         "updates": {"x": "x ^ u"},
     })
     with pytest.raises(CapacityError) as err:
-        reach_explicit(model, 3, cap=2)
+        reach(model, 3, "explicit", cap=2)
     assert err.value.step == 1
-
-
-@pytest.mark.parametrize("steps", [-1, -2])
-def test_reach_rejects_negative_steps(steps):
-    with pytest.raises(ModelError) as err:
-        reach_explicit(intersection_model(), steps)
-    assert str(err.value) == f"steps: must be non-negative, found {steps}"
 
 
 def reference_reach(model, steps, break_deps):
@@ -250,5 +248,5 @@ def test_oracle_matches_two_pass_reference(broken):
     cases.append((intersection_model(), 2))
     for model, horizon in cases:
         want = reference_reach(model, horizon, broken)
-        got = reach_explicit(model, horizon, break_next_state_deps=broken)
+        got = oracle_sets(model, horizon, break_next_state_deps=broken)
         assert [s.points for s in got] == want

@@ -64,6 +64,10 @@ def test_parse_errors_carry_positions():
         parse_expr("NAND(a)")
     with pytest.raises(ModelError):
         parse_expr("a b")
+    # a primed name is a variable, never a gate
+    with pytest.raises(ModelError) as err:
+        parse_expr("NAND'(a, b)")
+    assert err.value.position == 6
 
 
 def test_print_parse_round_trip():

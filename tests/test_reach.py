@@ -196,13 +196,13 @@ def test_joint_size_components():
     b = pz_encode_points([bv("0"), bv("1")])
     state = {"a": a, "b": b}
     # distinct factor vectors multiply
-    assert joint_size(state, "poly") == 4
+    assert joint_size(state) == 4
     # a shared factor vector correlates the variables
     (ident,) = unique_id(1)
     same = PolyLogicalZonotope(bv("0"), BinaryMatrix(1, (bv("1"),)),
                                BinaryMatrix(1, (bv("1"),)), (ident,))
     corr = {"a": same, "b": same}
-    assert joint_size(corr, "poly") == 2
+    assert joint_size(corr) == 2
     assert poly_joint_set(corr).points == frozenset({bv("00"), bv("11")})
 
 
@@ -210,9 +210,9 @@ def test_joint_size_cap_counts_table_entries():
     # three shared factors: a value table of 8 entries, 8 distinct points
     z = pz_encode_points([BinaryVector(3, b) for b in range(8)])
     state = {"a": z, "b": z}
-    assert joint_size(state, "poly", cap=8) == 8
+    assert joint_size(state, cap=8) == 8
     with pytest.raises(CapacityError) as err:
-        joint_size(state, "poly", cap=7)
+        joint_size(state, cap=7)
     assert "needs 8 elements" in str(err.value)
 
 
