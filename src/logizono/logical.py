@@ -6,12 +6,16 @@ derived from it) over-approximate, never missing a point. Each gate is
 built from its binvec.DE_MORGAN entry in one construction: XNOR is XOR
 with the center flipped, and NAND, OR and NOR are each one AND, on the
 operands or their complements.
+
+Each construction is a core on packed pairs (cbits, columns): GATES wraps
+it for LogicalZonotopes and packed_ops(dim) hands it to model.fold.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property, partial
 from operator import itemgetter
+from types import MappingProxyType
 
 from .binvec import DE_MORGAN, BinaryMatrix, BinaryVector, Gate, Value
 from .errors import DEFAULT_CAP, DimensionError, check_cap
@@ -94,11 +98,8 @@ class LogicalZonotope(PackedZonotope):
 
 
 def lz_not(a: LogicalZonotope) -> LogicalZonotope:
-    return LogicalZonotope.from_bits(a.dim, a.cbits ^ _ones(a), a.gbits)
-
-
-def _ones(a):
-    return (1 << a.dim) - 1
+    return LogicalZonotope.from_bits(a.dim, a.cbits ^ ((1 << a.dim) - 1),
+                                     a.gbits)
 
 
 def and_columns(ac, ag, bc, bg):
@@ -115,29 +116,35 @@ def check_dims(a, b):
         raise DimensionError(f"dim {a.dim} vs {b.dim}")
 
 
-def _gate(base, flip_in, flip_out):
-    """DE_MORGAN's entry (base, flip_in, flip_out) in one construction: a
-    complement XORs a center with all ones, and cancels on both operands
-    of XOR. XOR and XNOR are exact; AND, NAND, OR and NOR over-approximate,
+def _core(base, flip_in, flip_out, ones, a, b):
+    """DE_MORGAN's entry (base, flip_in, flip_out) in one construction on
+    packed pairs (cbits, columns) of the width whose all-ones int is ones:
+    a complement XORs a center with ones, and cancels on both operands of
+    XOR. XOR and XNOR are exact; AND, NAND, OR and NOR over-approximate,
     the result containing every pointwise product."""
     if base is Gate.XOR:
-        def gate(a, b):
-            check_dims(a, b)
-            c = a.cbits ^ b.cbits
-            return LogicalZonotope.from_bits(
-                a.dim, c ^ _ones(a) if flip_out else c, a.gbits + b.gbits)
-        return gate
-
-    def gate(a, b):
-        check_dims(a, b)
-        ones = _ones(a)
-        ac, bc = a.cbits ^ ones * flip_in, b.cbits ^ ones * flip_in
-        return LogicalZonotope.from_bits(a.dim, (ac & bc) ^ ones * flip_out,
-                                         and_columns(ac, a.gbits, bc, b.gbits))
-    return gate
+        return a[0] ^ b[0] ^ ones * flip_out, [*a[1], *b[1]]
+    ac, bc = a[0] ^ ones * flip_in, b[0] ^ ones * flip_in
+    return (ac & bc) ^ ones * flip_out, and_columns(ac, a[1], bc, b[1])
 
 
-GATES = {gate: _gate(*DE_MORGAN[gate]) for gate in Gate}
+@cache
+def packed_ops(dim):
+    """model.fold's const, not_ and gates on packed pairs of width dim,
+    built once per width and shared, so the gates come read-only."""
+    ones = (1 << dim) - 1
+    return (lambda value: (value.bits, ()), lambda a: (a[0] ^ ones, a[1]),
+            MappingProxyType({gate: partial(_core, *DE_MORGAN[gate], ones)
+                              for gate in Gate}))
+
+
+def _gate(gate, a, b):
+    check_dims(a, b)
+    return LogicalZonotope.from_bits(a.dim, *packed_ops(a.dim)[2][gate](
+        (a.cbits, a.gbits), (b.cbits, b.gbits)))
+
+
+GATES = {gate: partial(_gate, gate) for gate in Gate}
 lz_xor, lz_and, lz_or, lz_xnor, lz_nand, lz_nor = itemgetter(
     Gate.XOR, Gate.AND, Gate.OR, Gate.XNOR, Gate.NAND, Gate.NOR)(GATES)
 
@@ -155,12 +162,9 @@ def lz_enclose_points(points) -> LogicalZonotope:
 
 
 def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
-    """Enumerate the represented set.
-
-    The generators are first reduced to an independent basis, which
-    preserves the set exactly, then enumerated by lz_points.
-    """
-    return lz_points(a.dim, a.cbits, _basis(a.gbits), cap)
+    """Enumerate the represented set: lz_points over an echelon basis of
+    the columns, which spans the same set."""
+    return lz_points(a.dim, a.cbits, _echelon(a.gbits), cap)
 
 
 def lz_points(dim, cbits, basis, cap=DEFAULT_CAP,
@@ -195,27 +199,36 @@ def lz_reduce(a: LogicalZonotope) -> LogicalZonotope:
     the set with the reduced echelon basis of that span (at most dim
     generators) and the center reduced against it. Zonotopes of one set
     get equal cbits and gbits."""
-    basis = _basis(a.gbits)
-    return LogicalZonotope.from_bits(a.dim, _reduced(a.cbits, basis), basis)
+    return LogicalZonotope.from_bits(a.dim, *_canonical(a.cbits, a.gbits))
 
 
-def _basis(columns):
-    """The reduced echelon basis of the span of the packed int columns,
-    largest leading bit first: no element holds another's leading bit.
-    Elimination skips repeated columns, which always reduce to zero, and
-    keeps one element per leading bit; then one ascending pass clears
-    each element's bits at the smaller ones' leading bits."""
+def _canonical(cbits, columns):
+    """(cbits, columns) as lz_reduce gives them."""
+    basis = _basis(columns)
+    return _reduced(cbits, basis), basis
+
+
+def _echelon(columns):
+    """An echelon basis of the span of the packed int columns, in no set
+    order: elimination alone, skipping repeats, which reduce to zero."""
     lead = {}  # bit_length() -> the basis element with that leading bit
-    for x in dict.fromkeys(columns):
+    for x in set(columns):
         while x:
             n = x.bit_length()
             if n not in lead:
                 lead[n] = x
                 break
             x ^= lead[n]
+    return list(lead.values())
+
+
+def _basis(columns):
+    """The reduced echelon basis of the span of the packed int columns,
+    largest leading bit first: _echelon's, after one ascending pass that
+    clears each element's bits at the smaller ones' leading bits."""
     basis = []
-    for n in sorted(lead):
-        basis.append(_reduced(lead[n], basis))
+    for x in sorted(_echelon(columns)):
+        basis.append(_reduced(x, basis))
     return basis[::-1]
 
 

@@ -19,13 +19,12 @@ gates represent. What each lane carries from one step to the next:
 - explicit: the oracle, the set of reached joint vectors, from the same
   R_0 as the exact lane (explicit.initial_joint); each step
   (explicit.explicit_step) enumerates every (state, input) sample.
-- logical: one logical zonotope per variable, held as packed ints (the
-  center's and one per generator column); vectors are built only at the
-  API and JSON boundary. Updates run in generator space; each result is
-  reduced to its canonical form (lz_reduce), which keeps the set, bounds
-  the generator count and gives equal sets equal zonotopes. The joint
-  size is the product of the 2^gamma set sizes; a record's split
-  enumerates each zonotope as it is, and only that is checked.
+- logical: one logical zonotope per variable as the packed pair (cbits,
+  columns), entered as lz_reduce(lz_enclose_points(...)). Updates fold
+  over logical.packed_ops in generator space, and each result's columns
+  become an echelon basis (logical._echelon): the same set, at most dim
+  columns. The joint size is the product of the 2^len(basis) set sizes;
+  a record's split enumerates each basis as it is.
 - poly, minkowski: one set of values per variable, an int bitmap (bit x
   set when x is in the set) up to 12 bits and a frozenset of ints above.
   A step folds each update over those sets: a gate is its pointwise
@@ -47,8 +46,9 @@ gates represent. What each lane carries from one step to the next:
 The logical and Minkowski lanes share one step (_per_variable). When the
 inputs are the same every step and a step's state equals the one before,
 the run has hit a fixpoint and the remaining steps share the last record;
-the oracle takes no such shortcut. A state fixes its sets, and on every
-lane equal sets give equal states.
+the oracle takes no such shortcut. States are compared by the lane's
+key: the state itself, or on the logical lane each pair's canonical form
+(logical._canonical). On every lane equal sets give equal keys.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ from .errors import DEFAULT_CAP, CapacityError, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
-from .model import check_algebra, eval_expr, fold
+# no lane calls eval_expr; benchmarks/spans.py wraps it under this name
+from .model import check_algebra, eval_expr, fold  # noqa: F401
 
 
 class StepRecord(Value):
@@ -194,20 +195,21 @@ def reach(model, steps, algebra, mode="minkowski", *,
         records = [_record(model, split, size, state, 0, 0.0)]
         constant = lane.fixpoint and all(
             v.constant for v in model.input_vars)
+        key = constant and lane.key(state)
         fixpoint_at = -1
         for k in range(1, horizon + 1):
             t0 = time.perf_counter()
-            nxt = step(model, state, k - 1, cap)
-            records.append(_record(model, split, size, nxt, k,
+            state = step(model, state, k - 1, cap)
+            records.append(_record(model, split, size, state, k,
                                    time.perf_counter() - t0))
-            if constant and nxt == state:
+            # the last key on the left, the new one stored on the right
+            if constant and key == (key := lane.key(state)):
                 fixpoint_at = k
                 last = records[-1]
                 records += [StepRecord(j, last.var_sets, last.joint_size, 0.0,
                                        last.joint_set)
                             for j in range(k + 1, horizon + 1)]
                 break
-            state = nxt
     except CapacityError as err:
         if err.step is None:
             err.step = k
@@ -464,26 +466,32 @@ def _bitmaps(dim):
 
 # --- the lanes that keep one value per variable -----------------------------
 
-def _per_variable(encode, evaluator, finish, size, split):
+def _per_variable(encode, ops, finish, size, split, key):
     """The _LANES entry of a lane that keeps one value per state variable.
     encode(var, points) is the value of a variable's initial set and of an
-    input's set for a step; evaluator(dim, cap) gives (fn, args), and an
-    update of width dim is fn(update, env, *args); finish makes an
-    update's result a state value."""
+    input's set for a step; ops(dim, cap) gives fold's const, not_ and
+    gates for an update of width dim; finish makes an update's result a
+    state value."""
     def step(model, state, k, cap):
         env = dict(state)
         for var in model.input_vars:
             env[var.name] = encode(var, model.input_set(var, k))
-        evaluate = {v.name: evaluator(v.dim, cap) for v in model.state_vars}
+        by_name = {v.name: ops(v.dim, cap) for v in model.state_vars}
         for name in model.order:
-            fn, args = evaluate[name]
-            env[name + "'"] = fn(model.updates[name], env, *args)
+            env[name + "'"] = fold(model.updates[name], env, *by_name[name])
         return {v.name: finish(env[v.name + "'"]) for v in model.state_vars}
 
     return SimpleNamespace(
         initial=lambda model, cap: {v.name: encode(v, v.init)
                                     for v in model.state_vars},
-        step=step, size=size, split=split, fixpoint=True)
+        step=step, size=size, split=split, fixpoint=True, key=key)
+
+
+def _same(value):
+    return value
+
+
+_PAIR = operator.attrgetter("cbits", "gbits")
 
 
 # --- poly exact lane: joint vectors as ints in model.state_vars order -------
@@ -592,34 +600,36 @@ def _split(model, joint, cap):
 # Each entry gives initial(model, cap), the state at step 0; step(model,
 # state, k, cap), the state after step k; size(state), its joint size;
 # split(model, state, cap), a function of a variable's name giving its
-# ExplicitSet; and fixpoint, whether a state repeated under constant
-# inputs ends the run. reach reads these attributes at each run.
+# ExplicitSet; fixpoint, whether a state repeated under constant inputs
+# ends the run; and key(state), equal iff the sets are. reach reads
+# these attributes at each run.
 
 _LANES = {
     "explicit": SimpleNamespace(
         initial=ex.initial_joint, step=ex.explicit_step, size=len,
-        split=_split_oracle, fixpoint=False),
+        split=_split_oracle, fixpoint=False, key=_same),
     "logical": _per_variable(
-        encode=lambda var, points: lz.lz_reduce(lz.lz_enclose_points(points)),
-        evaluator=lambda dim, cap: (eval_expr, ("logical",)),
-        finish=lambda z: lz.lz_reduce(z),
-        # reduced zonotopes: 2^gamma points each, enumerated as they are
-        size=lambda st: 1 << sum(z.gamma for z in st.values()),
+        encode=lambda var, points: _PAIR(
+            lz.lz_reduce(lz.lz_enclose_points(points))),
+        ops=lambda dim, cap: lz.packed_ops(dim),
+        finish=lambda pair: (pair[0], lz._echelon(pair[1])),
+        # echelon bases: 2^len(basis) points each, enumerated as they are
+        size=lambda st: 1 << sum(len(basis) for _, basis in st.values()),
         split=lambda model, st, cap: lambda name: lz.lz_points(
-            st[name].dim, st[name].cbits, st[name].gbits, cap,
-            f"set of {name}")),
+            model.state(name).dim, *st[name], cap, f"set of {name}"),
+        key=lambda st: {name: lz._canonical(*pair)
+                        for name, pair in st.items()}),
     "minkowski": _per_variable(
         encode=lambda var, points: _value_set(var.dim,
                                               (p.bits for p in points)),
-        evaluator=lambda dim, cap: (fold, _set_ops(dim, cap)),
-        finish=lambda s: s,
+        ops=_set_ops, finish=_same,
         size=lambda st: math.prod(len(s) if isinstance(s, frozenset)
                                   else s.bit_count() for s in st.values()),
         split=lambda model, st, cap: lambda name: ex.ExplicitSet.from_bits(
-            model.state(name).dim, _values(st[name]))),
+            model.state(name).dim, _values(st[name])), key=_same),
     "exact": SimpleNamespace(
         initial=ex.initial_joint, step=_exact_step, size=len, split=_split,
-        fixpoint=True),
+        fixpoint=True, key=_same),
 }
 
 

@@ -9,10 +9,11 @@ from logizono.binvec import (DE_MORGAN, INT_GATES, BinaryMatrix,
                              BinaryVector, Gate, bv_op)
 from logizono.errors import CapacityError, DimensionError
 from logizono.explicit import set_minkowski, set_not
-from logizono.logical import (LogicalZonotope, _basis, lz_and, lz_compact,
-                              lz_contains, lz_enclose_points, lz_evaluate,
-                              lz_nand, lz_nor, lz_not, lz_or, lz_reduce,
-                              lz_xnor, lz_xor)
+from logizono.logical import (GATES, LogicalZonotope, _basis, _canonical,
+                              _echelon, lz_and, lz_compact, lz_contains,
+                              lz_enclose_points, lz_evaluate, lz_nand, lz_nor,
+                              lz_not, lz_or, lz_reduce, lz_xnor, lz_xor,
+                              packed_ops)
 from logizono.model import _LZ_GATES, _PZ_EXACT, _PZ_MINK
 from logizono.poly import PolyLogicalZonotope, pz_evaluate, pz_not, unique_id
 from logizono.reach import _BITMAP_WIDTH, _set_ops, _value_set
@@ -194,6 +195,39 @@ def test_basis_is_an_echelon_basis_of_the_span():
         a = lz_reduce(LogicalZonotope.from_bits(n, c, cols))
         b = lz_reduce(LogicalZonotope.from_bits(n, c ^ shift, mixed))
         assert (a.cbits, a.gbits) == (b.cbits, b.gbits), (cols, mixed)
+
+
+def test_packed_ops_match_the_public_gates_and_reduce():
+    # the logical lane's packed pairs against the LogicalZonotope API:
+    # every gate and NOT gives the same center and columns, and the
+    # echelon basis of any columns, put in canonical form as the lane's
+    # fixpoint key does, is lz_reduce's
+    rng = random.Random(3)
+    for _ in range(300):
+        n, cols = random_columns(rng)
+        other = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
+        other += [0] * rng.randint(0, 1) + cols[:rng.randint(0, 2)]
+        a = LogicalZonotope.from_bits(n, rng.getrandbits(n), cols)
+        b = LogicalZonotope.from_bits(n, rng.getrandbits(n), other)
+        const, not_, gates = packed_ops(n)
+        # the lane's columns come as tuples from lz_reduce, lists after
+        pair = {a: (a.cbits, a.gbits), b: (b.cbits, list(b.gbits))}
+        for z in (a, b):
+            assert not_(pair[z]) == (lz_not(z).cbits, pair[z][1])
+        for gate in Gate:
+            for x, y in ((a, b), (b, a)):
+                want = GATES[gate](x, y)
+                c, g = gates[gate](pair[x], pair[y])
+                assert (c, tuple(g)) == (want.cbits, want.gbits), (gate, x, y)
+        assert const(BinaryVector(n, a.cbits)) == (a.cbits, ())
+        echelon = _echelon(cols)
+        leads = [g.bit_length() for g in echelon]
+        assert len(set(leads)) == len(leads) and 0 not in leads, cols
+        assert len(echelon) == rank(cols) <= n, cols
+        assert span(echelon) == span(cols), cols
+        want = lz_reduce(a)
+        assert _canonical(a.cbits, echelon) == (want.cbits,
+                                                list(want.gbits)), cols
 
 
 def test_contains_and_reduce_agree_with_enumeration():

@@ -831,9 +831,11 @@ def test_poly_lanes_build_vectors_only_when_points_are_read(built, mode):
 
 
 def test_logical_records_enumerate_without_reducing(monkeypatch):
-    # every _basis call of a logical run is one of the step's lz_reduce
-    # calls: the record enumerates the reduced zonotopes as they are
-    calls = {"_basis": 0, "lz_reduce": 0}
+    # a step finishes each update result with one _echelon call, and only
+    # the encoded point sets are reduced (lz_reduce, whose _basis runs
+    # _echelon too): the records and the splits of every var_sets read
+    # enumerate the echelon bases as they are
+    calls = {"_basis": 0, "_echelon": 0, "lz_reduce": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -846,10 +848,13 @@ def test_logical_records_enumerate_without_reducing(monkeypatch):
     model = boolean10_model(0)
     got = reach(model, 8, "logical", cap=2**40)
     assert got.fixpoint_at == -1
+    assert all(len(r.var_sets[v.name]) > 0
+               for r in got.records for v in model.state_vars)
     n_state, n_input = len(model.state_vars), len(model.input_vars)
-    # the initial state's reductions, then each step's inputs and results
-    assert calls == {"_basis": n_state + 8 * (n_input + n_state),
-                     "lz_reduce": n_state + 8 * (n_input + n_state)}
+    # the initial sets and each step's inputs, then each step's results
+    encoded = n_state + 8 * n_input
+    assert calls == {"_basis": encoded, "lz_reduce": encoded,
+                     "_echelon": encoded + 8 * n_state}
 
 
 def test_logical_lane_sizes_are_pinned():
@@ -866,6 +871,63 @@ def test_logical_lane_sizes_are_pinned():
     for seed, sizes in want.items():
         got = reach(boolean10_model(seed), 8, "logical", cap=2**40)
         assert got.sizes() == sizes, seed
+
+
+def logical_reference(model, horizon):
+    """The logical lane spelled out on LogicalZonotopes: eval_expr over the
+    step's reduced inputs, every update's result reduced (lz_reduce). The
+    states up to the first repeat under constant inputs, and its step."""
+    def encode(points):
+        return lz.lz_reduce(lz.lz_enclose_points(points))
+
+    states = [{v.name: encode(v.init) for v in model.state_vars}]
+    constant = all(v.constant for v in model.input_vars)
+    for k in range(horizon):
+        env = dict(states[-1])
+        env.update((v.name, encode(model.input_set(v, k)))
+                   for v in model.input_vars)
+        for name in model.order:
+            env[name + "'"] = eval_expr(model.updates[name], env, "logical")
+        states.append({v.name: lz.lz_reduce(env[v.name + "'"])
+                       for v in model.state_vars})
+        if constant and states[-1] == states[-2]:
+            return states, k + 1
+    return states, -1
+
+
+def test_logical_lane_matches_the_zonotope_reference():
+    rng = random.Random(43)
+    fixpoints = 0
+    for _ in range(150):
+        model, horizon = random_lane_model(rng)
+        got = reach(model, horizon, "logical", cap=2**40)
+        states, fixpoint = logical_reference(model, horizon)
+        assert got.fixpoint_at == fixpoint
+        for k, record in enumerate(got.records):
+            state = states[min(k, len(states) - 1)]
+            assert record.joint_size == 1 << sum(z.gamma
+                                                 for z in state.values())
+            assert dict(record.var_sets) == {
+                name: lz.lz_evaluate(z) for name, z in state.items()}
+        fixpoints += fixpoint >= 0
+    assert fixpoints >= 20
+
+
+def test_logical_fixpoint_compares_canonical_forms():
+    # x holds every 2-bit value at each step, but x ^ u moves the center
+    # by u's reduced center, 01, every step, so no two successive states
+    # hold the same center and columns: only their canonical forms repeat
+    model = parse_model({
+        "vars": [
+            {"name": "x", "role": "state", "dim": 2,
+             "init": ["00", "01", "10", "11"]},
+            {"name": "u", "role": "input", "dim": 2, "set": ["01", "10"]},
+        ],
+        "updates": {"x": "x ^ u"},
+    })
+    got = reach(model, 6, "logical")
+    assert got.fixpoint_at == 1
+    assert got.sizes() == [4] * 7
 
 
 def test_logical_lane_builds_no_vectors(built):
