@@ -136,10 +136,12 @@ def cmd_selftest(args):
     failures = 0
     for trial in range(args.trials):
         n = rng.randint(1, 4)
-        a = _random_pz(rng, n)
-        b = _random_pz(rng, n)
-        la = _random_lz(rng, n)
-        lb = _random_lz(rng, n)
+        a, b = _random_pz(rng, n), _random_pz(rng, n)
+        pa, pb = _random_points(rng, n), _random_points(rng, n)
+        la, lb = lz.lz_enclose_points(pa), lz.lz_enclose_points(pb)
+        ea, eb = lz.lz_evaluate(la), lz.lz_evaluate(lb)
+        for points, enclosed in ((pa, ea), (pb, eb)):
+            failures += lz.lz_points(n, *lz.packed_points(points)) != enclosed
         sa = pz.pz_evaluate(a)
         for gate in Gate:
             # a and b have distinct factors, so the exact gate is also
@@ -150,8 +152,7 @@ def cmd_selftest(args):
                                (pz.EXACT_GATES[gate](a, b), want),
                                (pz.EXACT_GATES[gate](a, a), same)):
                 failures += pz.pz_evaluate(got) != image
-            lwant = ex.set_minkowski(lz.lz_evaluate(la), lz.lz_evaluate(lb),
-                                     gate)
+            lwant = ex.set_minkowski(ea, eb, gate)
             lgot = lz.lz_evaluate(lz.GATES[gate](la, lb))
             failures += (lgot != lwant if gate in exact_gates
                          else not lwant.bits <= lgot.bits)
@@ -184,10 +185,9 @@ def _random_pz(rng, n):
         [rng.getrandbits(p) for _ in range(h)], pz.unique_id(p))
 
 
-def _random_lz(rng, n):
-    # a random center and zero to three random generators
-    return lz.lz_enclose_points([BinaryVector(n, rng.getrandbits(n))
-                                 for _ in range(rng.randint(1, 4))])
+def _random_points(rng, n):
+    return [BinaryVector(n, rng.getrandbits(n))
+            for _ in range(rng.randint(1, 4))]
 
 
 def build_parser():

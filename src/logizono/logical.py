@@ -161,6 +161,13 @@ def lz_enclose_points(points) -> LogicalZonotope:
         c.dim, c.bits, [p.bits ^ c.bits for p in points[1:]])
 
 
+def packed_points(points):
+    """lz_reduce(lz_enclose_points(points))'s set as a packed pair, in an
+    echelon basis of the points' differences from the first; unchecked."""
+    c = points[0].bits
+    return c, _echelon([p.bits ^ c for p in points])
+
+
 def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
     """Enumerate the represented set: lz_points over an echelon basis of
     the columns, which spans the same set."""

@@ -12,8 +12,8 @@ from logizono.explicit import set_minkowski, set_not
 from logizono.logical import (GATES, LogicalZonotope, _basis, _canonical,
                               _echelon, lz_and, lz_compact, lz_contains,
                               lz_enclose_points, lz_evaluate, lz_nand, lz_nor,
-                              lz_not, lz_or, lz_reduce, lz_xnor, lz_xor,
-                              packed_ops)
+                              lz_not, lz_or, lz_points, lz_reduce, lz_xnor,
+                              lz_xor, packed_ops, packed_points)
 from logizono.model import _LZ_GATES, _PZ_EXACT, _PZ_MINK
 from logizono.poly import PolyLogicalZonotope, pz_evaluate, pz_not, unique_id
 from logizono.reach import _BITMAP_WIDTH, _set_ops, _value_set
@@ -228,6 +228,33 @@ def test_packed_ops_match_the_public_gates_and_reduce():
         want = lz_reduce(a)
         assert _canonical(a.cbits, echelon) == (want.cbits,
                                                 list(want.gbits)), cols
+
+
+def random_points(rng):
+    """A random point list at widths 1-70: 1-8 points, some lists all
+    one point, others with a point repeated."""
+    n = rng.randint(1, 70)
+    pts = [BinaryVector(n, rng.getrandbits(n))
+           for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.2:
+        pts = [pts[0]] * len(pts)
+    elif rng.random() < 0.5:
+        pts.insert(rng.randrange(len(pts) + 1), rng.choice(pts))
+    return pts
+
+
+def test_packed_points_hold_the_reduced_enclosure():
+    # the logical lane enters each step's inputs as packed_points: the
+    # set of lz_reduce(lz_enclose_points(...)) in an echelon basis, whose
+    # canonical form is lz_reduce's and whose points are the enclosure's
+    rng = random.Random(7)
+    for _ in range(300):
+        pts = random_points(rng)
+        pair = packed_points(pts)
+        z = lz_reduce(lz_enclose_points(pts))
+        assert _canonical(*pair) == (z.cbits, list(z.gbits)), pts
+        assert lz_points(pts[0].dim, *pair) == lz_evaluate(
+            lz_enclose_points(pts)), pts
 
 
 def test_contains_and_reduce_agree_with_enumeration():

@@ -831,11 +831,13 @@ def test_poly_lanes_build_vectors_only_when_points_are_read(built, mode):
 
 
 def test_logical_records_enumerate_without_reducing(monkeypatch):
-    # a step finishes each update result with one _echelon call, and only
-    # the encoded point sets are reduced (lz_reduce, whose _basis runs
-    # _echelon too): the records and the splits of every var_sets read
+    # only the initial sets are reduced (lz_reduce, whose _basis runs
+    # _echelon too); each step's inputs enter as packed_points, one
+    # _echelon call each, and each update result is finished with one
+    # _echelon call: the records and the splits of every var_sets read
     # enumerate the echelon bases as they are
-    calls = {"_basis": 0, "_echelon": 0, "lz_reduce": 0}
+    calls = {"_basis": 0, "_echelon": 0, "lz_reduce": 0,
+             "lz_enclose_points": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -851,10 +853,10 @@ def test_logical_records_enumerate_without_reducing(monkeypatch):
     assert all(len(r.var_sets[v.name]) > 0
                for r in got.records for v in model.state_vars)
     n_state, n_input = len(model.state_vars), len(model.input_vars)
-    # the initial sets and each step's inputs, then each step's results
-    encoded = n_state + 8 * n_input
-    assert calls == {"_basis": encoded, "lz_reduce": encoded,
-                     "_echelon": encoded + 8 * n_state}
+    # the initial sets, then each step's inputs and results
+    assert calls == {"_basis": n_state, "lz_reduce": n_state,
+                     "lz_enclose_points": n_state,
+                     "_echelon": n_state + 8 * n_input + 8 * n_state}
 
 
 def test_logical_lane_sizes_are_pinned():
