@@ -1,6 +1,6 @@
-"""Ready-made case studies: intersection protocol, an n-bit Boolean
-function family (boolean10 at n = 10), and LFSR keystream generation
-plus exhaustive key search over per-bit key sets."""
+"""Ready-made case studies, defined only here: the MODELS bundled for
+`logizono reach --model NAME` (the intersection protocol, and boolean10:
+seed 0 of an n-bit Boolean function family), and LFSR key search."""
 
 from __future__ import annotations
 
@@ -86,6 +86,10 @@ def boolean10_model(seed, steps=8) -> Model:
     return parse_model(boolean10_document(seed, steps))
 
 
+MODELS = {"intersection": intersection_document,
+          "boolean10": lambda: boolean10_document(0)}
+
+
 # --- LFSR -------------------------------------------------------------------
 
 def default_taps(lk):
@@ -102,10 +106,12 @@ def default_taps(lk):
 class LfsrSpec(Value):
     __slots__ = _fields = ("lk", "taps", "out_taps", "lm")
 
-    def __init__(self, lk=60, taps=(60, 59, 58, 14), out_taps=(60, 59),
-                 lm=120):
+    def __init__(self, lk=60, taps=None, out_taps=None, lm=None):
         if lk < 2:
             raise ValueError(f"register length {lk}: at least 2 cells")
+        taps = default_taps(lk) if taps is None else taps
+        out_taps = (lk, lk - 1) if out_taps is None else out_taps
+        lm = 2 * lk if lm is None else lm
         if lm < 1:
             raise ValueError(f"message length {lm}: at least 1 bit")
         if not (taps and out_taps):
@@ -117,8 +123,7 @@ class LfsrSpec(Value):
 
     @staticmethod
     def scaled(lk, lm=None):
-        return LfsrSpec(lk, default_taps(lk), (lk, lk - 1),
-                        lm if lm is not None else 2 * lk)
+        return LfsrSpec(lk, lm=lm)
 
 
 def lfsr_keystream(spec, key, length=None):

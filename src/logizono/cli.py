@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: reach (run a model and report sizes/times), lfsr (round-trip
-key search), eval (enumerate a serialized zonotope), selftest (randomized
-oracle-equivalence checks).
+Subcommands: reach (run a model file, or a model bundled in cases.MODELS
+by name, and report sizes/times), lfsr (round-trip key search), eval
+(enumerate a serialized zonotope), selftest (randomized oracle checks).
 
 reach and eval share one capacity budget: the most elements a set or
 table may hold, checked where one is computed (a joint set, a gate image,
@@ -17,13 +17,13 @@ import os
 import random
 import sys
 import time
-from importlib import resources
 
 from .binvec import BinaryVector, Gate, bv_op
 from .errors import DEFAULT_CAP, CapacityError, ModelError, SearchFailure
 from . import cases, explicit as ex, logical as lz, poly as pz
-from .model import ALGEBRAS, MODES, load_model, read_json
-from .reach import _set_ops, _value_set, _values, reach, reach_report
+from .model import ALGEBRAS, MODES, load_model, parse_model, read_json
+from .reach import (_BITMAP_WIDTH, _set_ops, _value_set, _values, reach,
+                    reach_report)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,11 +53,9 @@ def _cap(flag=None):
 def _resolve_model(spec_text):
     if os.path.exists(spec_text):
         return load_model(spec_text), spec_text
-    fixture = resources.files("logizono").joinpath(
-        "fixtures", spec_text if spec_text.endswith(".json")
-        else spec_text + ".json")
-    if fixture.is_file():
-        return load_model(fixture), str(fixture)
+    name = spec_text.removesuffix(".json")
+    if name in cases.MODELS:
+        return parse_model(cases.MODELS[name]()), name
     raise ModelError(f"model file not found: {spec_text}")
 
 
@@ -91,9 +89,7 @@ def cmd_lfsr(args):
                 if args.out_taps is not None else None)
     value = (_int(args.key_hex, "--key-hex", 16)
              if args.key_hex is not None else None)
-    spec = cases.LfsrSpec.scaled(args.lk, args.lm)
-    spec = cases.LfsrSpec(spec.lk, taps or spec.taps,
-                          out_taps or spec.out_taps, spec.lm)
+    spec = cases.LfsrSpec(args.lk, taps, out_taps, args.lm)
     lk, lm = spec.lk, spec.lm
     if value is None:
         key = [rng.getrandbits(1) for _ in range(lk)]
@@ -162,9 +158,10 @@ def cmd_selftest(args):
 
 
 def _check_set_ops(rng):
-    """Failures of the Minkowski lane's own gates and NOT, on bitmaps up
-    to 12 bits and frozensets at 13, against set_minkowski and set_not."""
-    n = rng.randint(1, 13)
+    """Failures of the Minkowski lane's own gates and NOT, on widths 1 to
+    _BITMAP_WIDTH + 1, so on bitmaps and on frozensets, against
+    set_minkowski and set_not."""
+    n = rng.randint(1, _BITMAP_WIDTH + 1)
     _, not_, gates = _set_ops(n, DEFAULT_CAP)
     a, b = ([rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
             for _ in range(2))
@@ -198,7 +195,7 @@ def build_parser():
 
     p = sub.add_parser("reach", help="run reachability on a model")
     p.add_argument("--model", required=True,
-                   help="model file path or bundled fixture name")
+                   help="model file path or bundled model name")
     p.add_argument("--steps", default="5")
     p.add_argument("--algebra", default="poly", choices=ALGEBRAS)
     p.add_argument("--mode", default="minkowski", choices=MODES)

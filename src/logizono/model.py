@@ -378,6 +378,8 @@ def parse_model(document) -> Model:
                              f"{var.name!r}")
         dims[var.name] = var.dim
         (states if isinstance(var, StateVar) else inputs).append(var)
+    if not states:
+        raise ModelError("vars: no state variable")
     state_names = [v.name for v in states]
     updates = {}
     for name, text in _field(document, "updates", dict, "", {}).items():
@@ -439,7 +441,6 @@ def eval_concrete(expr, env):
 
 
 _LZ_GATES = lz.GATES
-_PZ_MINK = pz.MINK_GATES
 _PZ_EXACT = pz.EXACT_GATES
 
 
@@ -453,7 +454,7 @@ def _compacted(gates, kind, a, b):
 _PZ_COMPACTING = {mode: {kind: partial(_compacted, gates, kind)
                          for kind in gates}
                   for mode, gates in (("exact", _PZ_EXACT),
-                                      ("minkowski", _PZ_MINK))}
+                                      ("minkowski", pz.MINK_GATES))}
 
 
 ALGEBRAS = ("explicit", "logical", "poly")

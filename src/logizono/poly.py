@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .binvec import DE_MORGAN, BinaryVector, Gate
-from .errors import DEFAULT_CAP, DimensionError, check_cap
+from .errors import DEFAULT_CAP, DimensionError, ModelError, check_cap
 from .explicit import ExplicitSet
 from .logical import (PackedZonotope, and_columns, check_dims,
                       columns_matrix, lz_enclose_points)
@@ -88,13 +88,17 @@ class PolyLogicalZonotope(PackedZonotope):
 
     @staticmethod
     def from_json(doc):
-        """Read a to_json document; a ModelError names the bad field."""
+        """Read a to_json document onto fresh factor ids, so that it shares
+        no factor with another zonotope; a ModelError names the bad field."""
         from .model import _field, _matrix, _typed
 
         c, G = PackedZonotope._c_and_G(doc)
-        ids = tuple(_typed(i, int, f"id[{j}]")
-                    for j, i in enumerate(_field(doc, "id", list, "")))
-        return PolyLogicalZonotope(c, G, _matrix(doc, "E", len(ids)), ids)
+        ids = [_typed(i, int, f"id[{j}]")
+               for j, i in enumerate(_field(doc, "id", list, ""))]
+        if len(set(ids)) != len(ids):
+            raise ModelError("id: identifiers must be pairwise distinct")
+        return PolyLogicalZonotope(c, G, _matrix(doc, "E", len(ids)),
+                                   unique_id(len(ids)))
 
 
 def _zonotope(a, cbits, gbits, ebits, ids=None):

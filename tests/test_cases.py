@@ -170,6 +170,15 @@ def test_default_taps():
         assert lk in taps
 
 
+def test_spec_defaults_follow_the_register_length():
+    assert LfsrSpec() == LfsrSpec(60, (60, 59, 58, 14), (60, 59), 120)
+    assert LfsrSpec(8) == LfsrSpec(8, (8, 7, 6, 2), (8, 7), 16)
+    assert LfsrSpec(8, lm=5) == LfsrSpec.scaled(8, 5)
+    assert LfsrSpec(12, out_taps=(3,)).taps == default_taps(12)
+    with pytest.raises(ValueError, match="at least 2 cells"):
+        LfsrSpec(1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LfsrSpec(8, (9,), (8,), 16)

@@ -32,6 +32,27 @@ def test_reach_bundled_fixture_csv(capsys):
     assert lines[2].split(",")[2] == "16"
 
 
+@pytest.mark.parametrize("name", ["intersection", "intersection.json",
+                                  "boolean10", "boolean10.json"])
+def test_reach_bundled_model_reports_its_name(capsys, name):
+    rc, out, _ = run(capsys, ["reach", "--model", name, "--steps", "0",
+                              "--format", "json"])
+    assert rc == cli.EXIT_OK
+    assert json.loads(out)["model"] == name.removesuffix(".json")
+
+
+def test_reach_file_wins_over_bundled_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "boolean10").write_text(json.dumps(
+        {"vars": [{"name": "x", "dim": 1, "init": ["0"]}],
+         "updates": {"x": "!x"}}))
+    rc, out, _ = run(capsys, ["reach", "--model", "boolean10", "--steps",
+                              "0", "--format", "json"])
+    assert rc == cli.EXIT_OK
+    report = json.loads(out)
+    assert (report["model"], report["rows"][0]["size"]) == ("boolean10", 1)
+
+
 def test_reach_is_deterministic_across_runs(capsys):
     argv = ["reach", "--model", "intersection", "--algebra", "poly",
             "--mode", "exact", "--steps", "3", "--format", "json"]
@@ -53,9 +74,11 @@ def test_reach_writes_output_file(tmp_path, capsys):
 
 
 def test_reach_missing_model_exits_usage(capsys):
-    rc, _, err = run(capsys, ["reach", "--model", "no_such_model"])
-    assert rc == cli.EXIT_USAGE
-    assert "not found" in err
+    # lfsr is a case study run by `logizono lfsr`, not a bundled model
+    for name in ("no_such_model", "lfsr", "lfsr.json"):
+        rc, _, err = run(capsys, ["reach", "--model", name])
+        assert rc == cli.EXIT_USAGE
+        assert "not found" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,6 +358,11 @@ def test_selftest_trials_below_one_exits_usage(capsys, trials):
                              "updates": {"x": "!x"}}),
                  "model: expected an object, found a string",
                  id="doc6-json-string"),
+    # a model with no state variable has nothing to reach
+    ({}, "vars: no state variable"),
+    ({"vars": []}, "vars: no state variable"),
+    ({"vars": [{"name": "u", "role": "input", "dim": 1, "set": ["0", "1"]}],
+      "updates": {}}, "vars: no state variable"),
 ])
 def test_reach_malformed_model_exits_usage(tmp_path, capsys, doc, message):
     path = tmp_path / "model.json"
@@ -356,6 +384,8 @@ def test_reach_malformed_model_exits_usage(tmp_path, capsys, doc, message):
      "G[1]: expected a bitstring of 2 bits, found '0x'"),
     ({"c": "0", "G": ["1"], "E": ["1"], "id": ["a"]},
      "id[0]: expected an integer, found a string"),
+    ({"c": "0", "G": ["1", "1"], "E": ["10", "01"], "id": [3, 3]},
+     "id: identifiers must be pairwise distinct"),
 ])
 def test_eval_malformed_zonotope_exits_usage(tmp_path, capsys, doc, message):
     path = tmp_path / "z.json"

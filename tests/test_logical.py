@@ -14,8 +14,9 @@ from logizono.logical import (GATES, LogicalZonotope, _basis, _canonical,
                               lz_enclose_points, lz_evaluate, lz_nand, lz_nor,
                               lz_not, lz_or, lz_points, lz_reduce, lz_xnor,
                               lz_xor, packed_ops, packed_points)
-from logizono.model import _LZ_GATES, _PZ_EXACT, _PZ_MINK
-from logizono.poly import PolyLogicalZonotope, pz_evaluate, pz_not, unique_id
+from logizono.model import _LZ_GATES, _PZ_EXACT
+from logizono.poly import (MINK_GATES, PolyLogicalZonotope, pz_evaluate,
+                           pz_not, unique_id)
 from logizono.reach import _BITMAP_WIDTH, _set_ops, _value_set
 
 from conftest import logical_zonotopes, lz_pairs
@@ -341,7 +342,7 @@ def test_derived_gates_are_their_de_morgan_compositions():
              lambda z: (z.dim, z.cbits, z.gbits)),
             (_PZ_EXACT, pz_not, random_pz(rng, n, ids[:2]),
              random_pz(rng, n, ids[1:]), pz_evaluate),
-            (_PZ_MINK, pz_not, random_pz(rng, n, ids[:2]),
+            (MINK_GATES, pz_not, random_pz(rng, n, ids[:2]),
              random_pz(rng, n, ids[1:]), pz_evaluate),
             ({g: partial(fn, m=m) for g, fn in INT_GATES.items()},
              partial(operator.xor, m), rng.getrandbits(n),

@@ -290,6 +290,19 @@ def test_json_ids_do_not_depend_on_allocation():
     assert pz_evaluate(back).points == frozenset(pts)
 
 
+def test_json_documents_get_fresh_factor_ids():
+    # to_json numbers every document's ids from 1, and the process holds
+    # ids of its own: neither may turn into a factor shared by accident
+    pair = [bv([0, 0]), bv([1, 1])]
+    a, b = (PolyLogicalZonotope.from_json(pz_encode_points(pair).to_json())
+            for _ in range(2))
+    assert pz_evaluate(pz_exact_xor(a, b)).points == frozenset(pair)
+    bit = pz_encode_points([bv([0]), bv([1])])
+    doc = {"c": "0", "G": ["1"], "E": ["1"], "id": list(bit.id)}
+    both = pz_exact_xor(PolyLogicalZonotope.from_json(doc), bit)
+    assert pz_evaluate(both).points == frozenset({bv([0]), bv([1])})
+
+
 def test_singleton():
     z = PolyLogicalZonotope.singleton(bv([1, 0, 1]))
     assert z.h == 0 and z.p == 0
