@@ -4,6 +4,7 @@ seed 0 of an n-bit Boolean function family), and LFSR key search."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .binvec import BinaryVector, Value
@@ -109,8 +110,8 @@ class LfsrSpec(Value):
     def __init__(self, lk=60, taps=None, out_taps=None, lm=None):
         if lk < 2:
             raise ValueError(f"register length {lk}: at least 2 cells")
-        taps = default_taps(lk) if taps is None else taps
-        out_taps = (lk, lk - 1) if out_taps is None else out_taps
+        taps = default_taps(lk) if taps is None else tuple(taps)
+        out_taps = (lk, lk - 1) if out_taps is None else tuple(out_taps)
         lm = 2 * lk if lm is None else lm
         if lm < 1:
             raise ValueError(f"message length {lm}: at least 1 bit")
@@ -160,6 +161,19 @@ def lfsr_encrypt(spec, key, message):
     return [m ^ s for m, s in zip(message, stream)]
 
 
+@functools.lru_cache(maxsize=32)
+def _check_plan(spec, length):
+    """The key search's checks: per step j, (mask_i, i) for each stream
+    bit i whose highest key bit is j; step 2 also takes those below bit 2.
+    It depends only on the register and the message length, so one plan
+    serves every search under them."""
+    at_step = [[] for _ in range(spec.lk + 1)]
+    one_hot = [1 << i for i in range(spec.lk)]
+    for i, mask in enumerate(lfsr_keystream(spec, one_hot, length)):
+        at_step[max(mask.bit_length() - 1, 2)].append((mask, i))
+    return tuple(map(tuple, at_step))
+
+
 def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     """Exhaustive key search over per-bit key sets.
 
@@ -167,29 +181,28 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     remaining bit j is tentatively fixed to 0 while bits j+1.. stay the
     full set {0, 1}; if the cipher-bit sets generated under that
     assumption fail to contain the observed ciphertext, bit j must be 1.
-    XOR is exact over these sets, so the register is clocked once, on the
-    one-hot key masks 1 << i: stream bit i is the parity of mask_i & key,
-    a single value once the highest key bit in mask_i is fixed and {0, 1}
-    before. Step j checks only the bits it fixes, each one int parity
-    against m_i ^ c_i. A failed check reads no key bit above its step, so
-    only a candidate that passed every check can reproduce the
-    ciphertext; that candidate alone is re-encrypted to confirm it.
+    XOR is exact over these sets, so stream bit i is the parity of
+    mask_i & key, where mask_i comes from clocking the register on the
+    one-hot key masks 1 << i: a single value once the highest key bit in
+    mask_i is fixed and {0, 1} before. Step j checks only the bits it
+    fixes, each one int parity against m_i ^ c_i. The masks, grouped by
+    step, are built once per register and message length (`_check_plan`)
+    and shared by every search under them. A failed check reads no key
+    bit above its step, so only a candidate that passed every check can
+    reproduce the ciphertext; that candidate alone is re-encrypted to
+    confirm it. Without an `instrument`, a branch ends at its first
+    failed check; with one, it runs over every bit and reports each.
     """
     message = list(message)
     cipher = list(cipher)
     if len(message) != len(cipher):
         raise ValueError("message and ciphertext lengths differ")
-    # at_step[j]: (mask_i, m_i ^ c_i) of the stream bits whose highest key
-    # bit is j, fixed at step j; step 2 also takes those below bit 2
-    at_step = [[] for _ in range(spec.lk + 1)]
-    one_hot = [1 << i for i in range(spec.lk)]
-    for mask, m, c in zip(lfsr_keystream(spec, one_hot, len(message)),
-                          message, cipher):
-        at_step[max(mask.bit_length() - 1, 2)].append((mask, m ^ c))
+    plan = _check_plan(spec, len(message))
+    mc = [m ^ c for m, c in zip(message, cipher)]
 
     def holds(j, key):
-        for mask, mc in at_step[j]:
-            if (mask & key).bit_count() & 1 != mc:
+        for mask, i in plan[j]:
+            if (mask & key).bit_count() & 1 != mc[i]:
                 return False
         return True
 
@@ -207,6 +220,8 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
                 ok = ok and holds(j, key)
             if instrument is not None:
                 instrument(first_two, j, list(bits))
+            elif not ok:
+                break
         if ok and lfsr_encrypt(spec, bits, message) == cipher:
             return BinaryVector.from_bits(bits)
     raise SearchFailure("no key reproduces the ciphertext; check the taps "

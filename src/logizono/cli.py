@@ -77,16 +77,27 @@ def cmd_reach(args):
     return EXIT_OK
 
 
+def _taps(text, flag):
+    """The comma-separated taps of flag, or None when it is not given. A
+    tap repeated cancels itself in the XOR, so it is a usage error here;
+    LfsrSpec itself accepts it."""
+    if text is None:
+        return None
+    taps = tuple(_int(t, flag) for t in text.split(","))
+    for t in taps:
+        if taps.count(t) > 1:
+            raise ModelError(f"{flag}: tap {t} repeated")
+    return taps
+
+
 def cmd_lfsr(args):
     rng = random.Random(args.seed)
     for flag, value in (("--taps", args.taps), ("--out-taps", args.out_taps),
                         ("--key-hex", args.key_hex)):
         if value == "":
             raise ValueError(f"{flag}: expected a value, found an empty one")
-    taps = (tuple(_int(t, "--taps") for t in args.taps.split(","))
-            if args.taps is not None else None)
-    out_taps = (tuple(_int(t, "--out-taps") for t in args.out_taps.split(","))
-                if args.out_taps is not None else None)
+    taps, out_taps = (_taps(text, flag) for flag, text in
+                      (("--taps", args.taps), ("--out-taps", args.out_taps)))
     value = (_int(args.key_hex, "--key-hex", 16)
              if args.key_hex is not None else None)
     spec = cases.LfsrSpec(args.lk, taps, out_taps, args.lm)

@@ -309,6 +309,51 @@ def test_key_recovery_matches_per_bit_reference():
         want = _search_outcome(reference_recover_key, spec, message, cipher)
         assert _search_outcome(lfsr_recover_key, spec, message,
                                cipher) == want, spec
+        # without an instrument a branch ends at its first failed check,
+        # which must not change the key found or the failure
+        assert _search_outcome(_uninstrumented, spec, message,
+                               cipher)[0] == want[0], spec
+
+
+def _uninstrumented(spec, message, cipher, *, instrument):
+    return lfsr_recover_key(spec, message, cipher)
+
+
+def test_check_plan_is_shared_per_register_and_length():
+    rng = random.Random(30)
+    # two registers with different taps, and one of them at two message
+    # lengths, interleaved so each search follows one on another plan
+    runs = [(LfsrSpec(12), 24), (LfsrSpec(12, (12, 5)), 24),
+            (LfsrSpec(12), 15)]
+    for _ in range(3):
+        for spec, lm in runs:
+            key = [rng.getrandbits(1) for _ in range(spec.lk)]
+            message = [rng.getrandbits(1) for _ in range(lm)]
+            cipher = lfsr_encrypt(spec, key, message)
+            want = _search_outcome(reference_recover_key, spec, message,
+                                   cipher)[0]
+            assert _search_outcome(_uninstrumented, spec, message,
+                                   cipher)[0] == want, (spec, lm)
+    plan = cases._check_plan(LfsrSpec(8), 16)
+    assert cases._check_plan(LfsrSpec(8, (8, 7, 6, 2), (8, 7), 16),
+                             16) is plan
+    assert isinstance(plan, tuple)
+    assert all(isinstance(step, tuple) for step in plan)
+
+
+def test_list_taps_build_the_tuple_spec():
+    listed = LfsrSpec(8, [8, 7, 6, 2], [8, 7])
+    twin = LfsrSpec(8, (8, 7, 6, 2), (8, 7))
+    assert listed == twin
+    assert hash(listed) == hash(twin)
+    assert (listed.taps, listed.out_taps) == ((8, 7, 6, 2), (8, 7))
+    assert LfsrSpec(8, [8, 7, 6, 2]) == twin
+    rng = random.Random(8)
+    key = [rng.getrandbits(1) for _ in range(8)]
+    message = [rng.getrandbits(1) for _ in range(16)]
+    cipher = lfsr_encrypt(twin, key, message)
+    assert lfsr_encrypt(listed, key, message) == cipher
+    assert list(lfsr_recover_key(listed, message, cipher)) == key
 
 
 def test_one_hot_stream_is_the_symbolic_stream():

@@ -277,6 +277,17 @@ def test_lfsr_empty_value_exits_usage(capsys, flag):
     assert err == f"error: {flag}: expected a value, found an empty one\n"
 
 
+@pytest.mark.parametrize("flag, taps", [("--taps", "8,7,8"),
+                                         ("--out-taps", "8,8")])
+def test_lfsr_repeated_tap_exits_usage(capsys, flag, taps):
+    # a repeated tap cancels in the XOR: --out-taps 8,8 gives an all-zero
+    # keystream, which every key fits
+    rc, out, err = run(capsys, ["lfsr", "--lk", "8", flag, taps,
+                                "--seed", "1"])
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: {flag}: tap 8 repeated\n"
+
+
 @pytest.mark.parametrize("argv, env, message", [
     (["reach", "--model", "intersection"], "abc", "LOGIZONO_CAP: 'abc'"),
     (["reach", "--model", "intersection", "--steps", "1,x"], None,
