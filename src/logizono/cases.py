@@ -164,13 +164,13 @@ def lfsr_encrypt(spec, key, message):
 @functools.lru_cache(maxsize=32)
 def _check_plan(spec, length):
     """The key search's checks: per step j, (mask_i, i) for each stream
-    bit i whose highest key bit is j; step 2 also takes those below bit 2.
-    It depends only on the register and the message length, so one plan
-    serves every search under them."""
-    at_step = [[] for _ in range(spec.lk + 1)]
+    bit i whose highest key bit is j, or 1 if none is above 1, so every
+    stream bit sits in exactly one of steps 1..lk-1. One plan serves every
+    search under the same register and message length."""
+    at_step = [[] for _ in range(spec.lk)]
     one_hot = [1 << i for i in range(spec.lk)]
     for i, mask in enumerate(lfsr_keystream(spec, one_hot, length)):
-        at_step[max(mask.bit_length() - 1, 2)].append((mask, i))
+        at_step[max(mask.bit_length() - 1, 1)].append((mask, i))
     return tuple(map(tuple, at_step))
 
 
@@ -184,14 +184,15 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     XOR is exact over these sets, so stream bit i is the parity of
     mask_i & key, where mask_i comes from clocking the register on the
     one-hot key masks 1 << i: a single value once the highest key bit in
-    mask_i is fixed and {0, 1} before. Step j checks only the bits it
-    fixes, each one int parity against m_i ^ c_i. The masks, grouped by
-    step, are built once per register and message length (`_check_plan`)
-    and shared by every search under them. A failed check reads no key
-    bit above its step, so only a candidate that passed every check can
-    reproduce the ciphertext; that candidate alone is re-encrypted to
-    confirm it. Without an `instrument`, a branch ends at its first
-    failed check; with one, it runs over every bit and reports each.
+    mask_i is fixed and {0, 1} before. Step 1 (the first two bits) and
+    each step j after it check only the stream bits they fix, each one int
+    parity against m_i ^ c_i. Every stream bit is checked at exactly one
+    step, so a candidate that passed every check reproduces the
+    ciphertext. The masks, grouped by step, are built once per register
+    and message length (`_check_plan`) and shared by every search under
+    them. Without an `instrument`, a branch ends at its first failed
+    check; with one, it runs over every bit and reports bits 0..j of the
+    key, then None for each bit above j.
     """
     message = list(message)
     cipher = list(cipher)
@@ -207,22 +208,18 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
         return True
 
     for first_two in range(4):
-        bits = [None] * spec.lk
-        bits[0] = first_two & 1
-        bits[1] = (first_two >> 1) & 1
         key = first_two
-        ok = True  # every stream bit fixed before step j matches
+        ok = holds(1, key)  # every stream bit fixed so far matches
         for j in range(2, spec.lk):
-            bits[j] = 0
             if not (ok and holds(j, key)):
-                bits[j] = 1
                 key |= 1 << j
                 ok = ok and holds(j, key)
             if instrument is not None:
-                instrument(first_two, j, list(bits))
+                bits = [(key >> i) & 1 for i in range(j + 1)]
+                instrument(first_two, j, bits + [None] * (spec.lk - 1 - j))
             elif not ok:
                 break
-        if ok and lfsr_encrypt(spec, bits, message) == cipher:
-            return BinaryVector.from_bits(bits)
+        if ok:
+            return BinaryVector(spec.lk, key)
     raise SearchFailure("no key reproduces the ciphertext; check the taps "
                         "and message length")

@@ -300,6 +300,10 @@ def test_key_recovery_matches_per_bit_reference():
     # itself gives stream bits that depend on no key bit
     specs += [LfsrSpec(), LfsrSpec(), LfsrSpec.scaled(16, lm=10),
               LfsrSpec(10, default_taps(10), (10, 10), 20)]
+    # lk = 2 runs no search step and lk = 3 one, so their step-1 checks
+    # decide alone or nearly; specs 30 and 33 get a corrupted cipher
+    specs += [LfsrSpec(2), LfsrSpec(2, lm=1), LfsrSpec(2),
+              LfsrSpec(3, (3, 2)), LfsrSpec(3, lm=2), LfsrSpec(3)]
     for n, spec in enumerate(specs):
         key = [rng.getrandbits(1) for _ in range(spec.lk)]
         message = [rng.getrandbits(1) for _ in range(spec.lm)]
@@ -378,28 +382,56 @@ def test_one_hot_stream_is_the_symbolic_stream():
                 lfsr_keystream(spec, key), spec
 
 
-def test_key_recovery_re_encrypts_only_the_surviving_candidate(monkeypatch):
-    encrypt = cases.lfsr_encrypt
-    encrypts = []
-    monkeypatch.setattr(cases, "lfsr_encrypt",
-                        lambda *args: encrypts.append(args) or encrypt(*args))
+def test_key_recovery_never_re_encrypts(monkeypatch):
     # a key starting with 11 fails a check in each of the three branches
-    # tried before its own, so only its own candidate is re-encrypted
+    # tried before its own
     rng = random.Random(60)
     spec = LfsrSpec()
     key = [1, 1] + [rng.getrandbits(1) for _ in range(58)]
     message = [rng.getrandbits(1) for _ in range(spec.lm)]
-    cipher = encrypt(spec, key, message)
+    cipher = lfsr_encrypt(spec, key, message)
+    encrypts, streams = [], []
+    monkeypatch.setattr(cases, "lfsr_encrypt",
+                        lambda *args: encrypts.append(args) or
+                        lfsr_encrypt(*args))
+    monkeypatch.setattr(cases, "lfsr_keystream",
+                        lambda *args: streams.append(args) or
+                        lfsr_keystream(*args))
+    cases._check_plan.cache_clear()
     branches = set()
     recovered = lfsr_recover_key(
         spec, message, cipher,
         instrument=lambda first_two, j, bits: branches.add(first_two))
     assert list(recovered) == key
-    assert len(encrypts) == 1
     assert branches == {0, 1, 2, 3}
+    # the register is clocked once, on the one-hot masks of the plan
+    assert streams == [(spec, [1 << i for i in range(60)], spec.lm)]
     # a flipped cipher bit fails a check in every branch
-    encrypts.clear()
     cipher[3] ^= 1
     with pytest.raises(SearchFailure):
         lfsr_recover_key(spec, message, cipher)
     assert encrypts == []
+    assert len(streams) == 1
+
+
+def test_check_plan_files_each_stream_bit_once():
+    rng = random.Random(31)
+    specs = [LfsrSpec(2), LfsrSpec(2, lm=1), LfsrSpec(3, lm=2),
+             LfsrSpec(10, default_taps(10), (10, 10), 20),
+             LfsrSpec(6, out_taps=(6, 6, 2)), LfsrSpec.scaled(16, lm=10)]
+    # random taps, possibly repeated, and messages shorter than the key
+    for _ in range(40):
+        lk = rng.randint(2, 24)
+        taps = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 4)))
+        outs = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 3)))
+        specs.append(LfsrSpec(lk, taps, outs, rng.randint(1, 2 * lk + 4)))
+    for spec in specs:
+        plan = cases._check_plan(spec, spec.lm)
+        assert len(plan) == spec.lk and plan[0] == (), spec
+        filed = {i: (j, mask) for j, step in enumerate(plan)
+                 for mask, i in step}
+        assert sum(map(len, plan)) == len(filed) == spec.lm, spec
+        symbolic = reference_keystream(spec, key_bit_sets([None] * spec.lk))
+        for i, s in enumerate(symbolic):
+            read = [k for k in range(spec.lk) if s.mask >> k & 1]
+            assert filed[i] == (max(read + [1]), s.mask), (spec, i)
