@@ -95,13 +95,13 @@ MODELS = {"intersection": intersection_document,
 
 def default_taps(lk):
     """Feedback taps for a register of lk cells, scaled from the 60-bit
-    reference layout {60, 59, 58, 14}; a register of fewer than 3 cells
-    keeps the taps it has."""
-    low = max(1, round(14 * lk / 60))
-    taps = [t for t in (lk, lk - 1, lk - 2) if t >= 1]
-    if low not in taps:
-        taps.append(low)
-    return tuple(taps)
+    reference layout {60, 59, 58, 14}. Below 4 cells the taps are the top
+    two: at lk = 3 the scaled 3/2/1 feed back an odd number of cells and
+    the default output taps read an even one, so a key and its complement
+    would share a keystream; 3/2 (x^3 + x^2 + 1) tells all keys apart."""
+    if lk < 4:
+        return (lk, lk - 1)
+    return (lk, lk - 1, lk - 2, max(1, round(14 * lk / 60)))
 
 
 class LfsrSpec(Value):
@@ -128,13 +128,8 @@ class LfsrSpec(Value):
 
 
 def lfsr_keystream(spec, key, length=None):
-    """Clock the register and collect the output bit per clock.
-
-    Cell 1 receives the feedback XOR; cell lk shifts out. Works over any
-    values supporting ^: on concrete 0/1 bits it gives the keystream, and
-    on the one-hot ints 1 << i it gives each stream bit's key-bit mask,
-    since XOR is linear. Returns a list of length spec.lm (or `length`).
-    """
+    """The output bit per clock for spec.lm (or `length`) clocks, over any
+    values supporting ^: cell 1 takes the feedback XOR, cell lk shifts out."""
     length = spec.lm if length is None else max(length, 0)
     if len(key) != spec.lk:
         raise ValueError(f"key width {len(key)} != {spec.lk}")
@@ -161,59 +156,64 @@ def lfsr_encrypt(spec, key, message):
     return [m ^ s for m, s in zip(message, stream)]
 
 
+_BITS, _DIGITS = frozenset((0, 1)), bytes.maketrans(b"\0\1", b"01")
+
+
+def _packed(bits, name):
+    """The entries of `bits`, each 0 or 1, as one int: entry i is bit i."""
+    if not _BITS.issuperset(bits):
+        i = next(i for i, b in enumerate(bits) if b not in _BITS)
+        raise ValueError(f"{name}[{i}] = {bits[i]!r}: expected 0 or 1")
+    return int(b"0" + bytes(bits).translate(_DIGITS)[::-1], 2)
+
+
 @functools.lru_cache(maxsize=32)
 def _check_plan(spec, length):
-    """The key search's checks: per step j, (mask_i, i) for each stream
-    bit i whose highest key bit is j, or 1 if none is above 1, so every
-    stream bit sits in exactly one of steps 1..lk-1. One plan serves every
-    search under the same register and message length."""
-    at_step = [[] for _ in range(spec.lk)]
-    one_hot = [1 << i for i in range(spec.lk)]
-    for i, mask in enumerate(lfsr_keystream(spec, one_hot, length)):
-        at_step[max(mask.bit_length() - 1, 1)].append((mask, i))
-    return tuple(map(tuple, at_step))
+    """The key search's tests on `length` stream bits, stream bit i as bit i
+    of lk ints: cols[b] for the bits that read key bit b, steps[j] for those
+    whose highest key bit is j (1 if none is above 1). A clock moves key bit
+    b - 1 into key bit b's cell, fed back if that cell is tapped an odd
+    number of times: cols[b] is cols[b - 1] a clock on, ^ cols[0] if fed."""
+    cols = [_packed(lfsr_keystream(spec, [1] + [0] * (spec.lk - 1),
+                                   length + spec.lk - 1), "stream")]
+    for b in range(1, spec.lk):
+        cols.append(cols[-1] >> 1 ^ cols[0] * (spec.taps.count(b) & 1))
+    full = (1 << length) - 1
+    cols = tuple(c & full for c in cols)
+    steps, above = [0] * spec.lk, 0
+    for j in range(spec.lk - 1, 1, -1):
+        steps[j], above = cols[j] & ~above, above | cols[j]
+    steps[1] = full & ~above
+    return cols, tuple(steps)
 
 
 def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     """Exhaustive key search over per-bit key sets.
 
     The first two key bits are tried over their four combinations. Each
-    remaining bit j is tentatively fixed to 0 while bits j+1.. stay the
-    full set {0, 1}; if the cipher-bit sets generated under that
-    assumption fail to contain the observed ciphertext, bit j must be 1.
-    XOR is exact over these sets, so stream bit i is the parity of
-    mask_i & key, where mask_i comes from clocking the register on the
-    one-hot key masks 1 << i: a single value once the highest key bit in
-    mask_i is fixed and {0, 1} before. Step 1 (the first two bits) and
-    each step j after it check only the stream bits they fix, each one int
-    parity against m_i ^ c_i. Every stream bit is checked at exactly one
-    step, so a candidate that passed every check reproduces the
-    ciphertext. The masks, grouped by step, are built once per register
-    and message length (`_check_plan`) and shared by every search under
-    them. Without an `instrument`, a branch ends at its first failed
-    check; with one, it runs over every bit and reports bits 0..j of the
-    key, then None for each bit above j.
+    later bit j is tentatively 0 while bits j+1.. stay {0, 1}; if the
+    cipher-bit sets under that assumption miss the ciphertext, bit j is 1.
+    A branch keeps one int d, message XOR cipher XOR the `_check_plan`
+    columns of its set key bits: step j tests the stream bits whose
+    highest key bit is j as `d & steps[j] == 0`, and setting bit j XORs
+    cols[j] into d. A key that passes every test reproduces the cipher.
+    Without an `instrument` a branch ends at its first failed test; with
+    one, it reports bits 0..j of the key, then None for each bit above j.
     """
-    message = list(message)
-    cipher = list(cipher)
+    message, cipher = list(message), list(cipher)
     if len(message) != len(cipher):
         raise ValueError("message and ciphertext lengths differ")
-    plan = _check_plan(spec, len(message))
-    mc = [m ^ c for m, c in zip(message, cipher)]
-
-    def holds(j, key):
-        for mask, i in plan[j]:
-            if (mask & key).bit_count() & 1 != mc[i]:
-                return False
-        return True
-
+    mc = _packed(message, "message") ^ _packed(cipher, "cipher")
+    cols, steps = _check_plan(spec, len(message))
     for first_two in range(4):
         key = first_two
-        ok = holds(1, key)  # every stream bit fixed so far matches
+        d = mc ^ (cols[0] if key & 1 else 0) ^ (cols[1] if key & 2 else 0)
+        ok = not d & steps[1]  # every stream bit fixed so far matches
         for j in range(2, spec.lk):
-            if not (ok and holds(j, key)):
+            if not ok or d & steps[j]:
                 key |= 1 << j
-                ok = ok and holds(j, key)
+                d ^= cols[j]
+                ok = ok and not d & steps[j]
             if instrument is not None:
                 bits = [(key >> i) & 1 for i in range(j + 1)]
                 instrument(first_two, j, bits + [None] * (spec.lk - 1 - j))

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -163,11 +165,22 @@ def test_keystream_matches_reference():
 
 def test_default_taps():
     assert default_taps(60) == (60, 59, 58, 14)
+    assert default_taps(3) == (3, 2)
     for lk in (*range(2, 9), 16, 24, 30):
         taps = default_taps(lk)
         assert len(set(taps)) == len(taps)
         assert all(1 <= t <= lk for t in taps)
         assert lk in taps
+
+
+def test_default_register_tells_every_key_apart():
+    # at lk = 3 the scaled taps 3/2/1 gave a key and its complement one
+    # keystream; no default register may map two keys to one stream
+    for lk in range(2, 13):
+        spec = LfsrSpec(lk)
+        keys = ([k >> i & 1 for i in range(lk)] for k in range(1 << lk))
+        streams = {tuple(lfsr_keystream(spec, key)) for key in keys}
+        assert len(streams) == 1 << lk, spec
 
 
 def test_spec_defaults_follow_the_register_length():
@@ -262,6 +275,14 @@ def test_recovery_input_validation():
         lfsr_recover_key(spec, [0, 1], [0])
     with pytest.raises(ValueError):
         lfsr_keystream(spec, [0] * 7)
+    # a bit that is not 0 or 1 is named, not read as its low bit
+    message, cipher = [0] * spec.lm, [0] * spec.lm
+    for bits, name in ((message, "message"), (cipher, "cipher")):
+        for bad in (2, 3, -1, 256):
+            bits[5] = bad
+            with pytest.raises(ValueError, match=rf"{name}\[5\] = {bad}"):
+                lfsr_recover_key(spec, message, cipher)
+        bits[5] = 0
 
 
 def reference_recover_key(spec, message, cipher, *, instrument):
@@ -304,6 +325,15 @@ def test_key_recovery_matches_per_bit_reference():
     # decide alone or nearly; specs 30 and 33 get a corrupted cipher
     specs += [LfsrSpec(2), LfsrSpec(2, lm=1), LfsrSpec(2),
               LfsrSpec(3, (3, 2)), LfsrSpec(3, lm=2), LfsrSpec(3)]
+    # random taps, possibly repeated, cancelling output taps and messages
+    # shorter than the key: the plan's columns follow each tap's count
+    # parity; 3/2/1 gives a key and its complement one keystream
+    specs.append(LfsrSpec(3, (3, 2, 1)))
+    for _ in range(40):
+        lk = rng.randint(2, 20)
+        taps = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 5)))
+        outs = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 3)))
+        specs.append(LfsrSpec(lk, taps, outs, rng.randint(1, 2 * lk + 4)))
     for n, spec in enumerate(specs):
         key = [rng.getrandbits(1) for _ in range(spec.lk)]
         message = [rng.getrandbits(1) for _ in range(spec.lm)]
@@ -404,8 +434,9 @@ def test_key_recovery_never_re_encrypts(monkeypatch):
         instrument=lambda first_two, j, bits: branches.add(first_two))
     assert list(recovered) == key
     assert branches == {0, 1, 2, 3}
-    # the register is clocked once, on the one-hot masks of the plan
-    assert streams == [(spec, [1 << i for i in range(60)], spec.lm)]
+    # the register is clocked once, for the plan: on key bit 0 alone, for
+    # the message and the 59 clocks that carry it to key bit 59's column
+    assert streams == [(spec, [1] + [0] * 59, spec.lm + 59)]
     # a flipped cipher bit fails a check in every branch
     cipher[3] ^= 1
     with pytest.raises(SearchFailure):
@@ -426,12 +457,14 @@ def test_check_plan_files_each_stream_bit_once():
         outs = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 3)))
         specs.append(LfsrSpec(lk, taps, outs, rng.randint(1, 2 * lk + 4)))
     for spec in specs:
-        plan = cases._check_plan(spec, spec.lm)
-        assert len(plan) == spec.lk and plan[0] == (), spec
-        filed = {i: (j, mask) for j, step in enumerate(plan)
-                 for mask, i in step}
-        assert sum(map(len, plan)) == len(filed) == spec.lm, spec
+        cols, steps = cases._check_plan(spec, spec.lm)
+        assert len(cols) == len(steps) == spec.lk and steps[0] == 0, spec
+        # the steps partition the stream
+        assert sum(s.bit_count() for s in steps) == spec.lm, spec
+        assert functools.reduce(operator.or_, steps) == (1 << spec.lm) - 1
         symbolic = reference_keystream(spec, key_bit_sets([None] * spec.lk))
         for i, s in enumerate(symbolic):
             read = [k for k in range(spec.lk) if s.mask >> k & 1]
-            assert filed[i] == (max(read + [1]), s.mask), (spec, i)
+            assert steps[max(read + [1])] >> i & 1, (spec, i)
+            assert [c >> i & 1 for c in cols] == \
+                [s.mask >> k & 1 for k in range(spec.lk)], (spec, i)
