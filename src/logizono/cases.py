@@ -160,11 +160,26 @@ _BITS, _DIGITS = frozenset((0, 1)), bytes.maketrans(b"\0\1", b"01")
 
 
 def _packed(bits, name):
-    """The entries of `bits`, each 0 or 1, as one int: entry i is bit i."""
-    if not _BITS.issuperset(bits):
-        i = next(i for i, b in enumerate(bits) if b not in _BITS)
+    """`bits`, each the int 0 or 1, as one int with entry i at bit i."""
+    try:
+        raw = bytes(bits)
+    except (TypeError, ValueError):  # a float, or an int outside a byte
+        raw = b"\2"
+    if raw.translate(None, b"\0\1"):
+        i = next(i for i, b in enumerate(bits)
+                 if b not in _BITS or not hasattr(b, "__index__"))
         raise ValueError(f"{name}[{i}] = {bits[i]!r}: expected 0 or 1")
-    return int(b"0" + bytes(bits).translate(_DIGITS)[::-1], 2)
+    return int(b"0" + raw.translate(_DIGITS)[::-1], 2)
+
+
+def _solve(pivots, d):
+    """The search's GF(2)-linear pass over d: returns (key, residual)."""
+    key = 0
+    for bit, pivot, col in pivots:
+        if d & pivot:
+            key |= bit
+            d ^= col
+    return key, d
 
 
 @functools.lru_cache(maxsize=32)
@@ -173,7 +188,9 @@ def _check_plan(spec, length):
     of lk ints: cols[b] for the bits that read key bit b, steps[j] for those
     whose highest key bit is j (1 if none is above 1). A clock moves key bit
     b - 1 into key bit b's cell, fed back if that cell is tapped an odd
-    number of times: cols[b] is cols[b - 1] a clock on, ^ cols[0] if fed."""
+    number of times: cols[b] is cols[b - 1] a clock on, ^ cols[0] if fed.
+    Each step j > 1 with stream bits gets a pivot (1 << j, its lowest bit,
+    cols[j]); offsets[b] is `_solve` on branch b's two columns, key | b."""
     cols = [_packed(lfsr_keystream(spec, [1] + [0] * (spec.lk - 1),
                                    length + spec.lk - 1), "stream")]
     for b in range(1, spec.lk):
@@ -184,7 +201,11 @@ def _check_plan(spec, length):
     for j in range(spec.lk - 1, 1, -1):
         steps[j], above = cols[j] & ~above, above | cols[j]
     steps[1] = full & ~above
-    return cols, tuple(steps)
+    pivots = tuple((1 << j, s & -s, cols[j])
+                   for j, s in enumerate(steps) if j > 1 and s)
+    (k0, r0), (k1, r1) = _solve(pivots, cols[0]), _solve(pivots, cols[1])
+    offsets = ((0, 0), (1 | k0, r0), (2 | k1, r1), (3 | k0 ^ k1, r0 ^ r1))
+    return cols, tuple(steps), pivots, offsets
 
 
 def lfsr_recover_key(spec, message, cipher, *, instrument=None):
@@ -193,33 +214,27 @@ def lfsr_recover_key(spec, message, cipher, *, instrument=None):
     The first two key bits are tried over their four combinations. Each
     later bit j is tentatively 0 while bits j+1.. stay {0, 1}; if the
     cipher-bit sets under that assumption miss the ciphertext, bit j is 1.
-    A branch keeps one int d, message XOR cipher XOR the `_check_plan`
-    columns of its set key bits: step j tests the stream bits whose
-    highest key bit is j as `d & steps[j] == 0`, and setting bit j XORs
-    cols[j] into d. A key that passes every test reproduces the cipher.
-    Without an `instrument` a branch ends at its first failed test; with
-    one, it reports bits 0..j of the key, then None for each bit above j.
+    That test reads `_check_plan`'s steps[j] after XORing in the columns
+    of the set bits, so a branch is one linear pass, `_solve`: the pass on
+    message XOR cipher plus the branch's offset. The first branch with a
+    zero residual gives the key. An `instrument` gets bits 0..j, then None,
+    at step j of each branch tried, bits from its first failed step on 1.
     """
     message, cipher = list(message), list(cipher)
     if len(message) != len(cipher):
         raise ValueError("message and ciphertext lengths differ")
     mc = _packed(message, "message") ^ _packed(cipher, "cipher")
-    cols, steps = _check_plan(spec, len(message))
-    for first_two in range(4):
-        key = first_two
-        d = mc ^ (cols[0] if key & 1 else 0) ^ (cols[1] if key & 2 else 0)
-        ok = not d & steps[1]  # every stream bit fixed so far matches
-        for j in range(2, spec.lk):
-            if not ok or d & steps[j]:
-                key |= 1 << j
-                d ^= cols[j]
-                ok = ok and not d & steps[j]
-            if instrument is not None:
-                bits = [(key >> i) & 1 for i in range(j + 1)]
-                instrument(first_two, j, bits + [None] * (spec.lk - 1 - j))
-            elif not ok:
-                break
-        if ok:
+    _, steps, pivots, offsets = _check_plan(spec, len(message))
+    found, d = _solve(pivots, mc)
+    for first_two, (key, residual) in enumerate(offsets):
+        key, residual = key ^ found, residual ^ d
+        if instrument is not None:
+            lk = spec.lk
+            f = next((j for j in range(1, lk) if residual & steps[j]), lk)
+            bits = [key >> i & 1 if i < max(f, 2) else 1 for i in range(lk)]
+            for j in range(2, lk):
+                instrument(first_two, j, bits[:j + 1] + [None] * (lk - 1 - j))
+        if not residual:
             return BinaryVector(spec.lk, key)
     raise SearchFailure("no key reproduces the ciphertext; check the taps "
                         "and message length")

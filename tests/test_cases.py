@@ -278,11 +278,16 @@ def test_recovery_input_validation():
     # a bit that is not 0 or 1 is named, not read as its low bit
     message, cipher = [0] * spec.lm, [0] * spec.lm
     for bits, name in ((message, "message"), (cipher, "cipher")):
-        for bad in (2, 3, -1, 256):
+        for bad in (2, 3, -1, 256, 1.0, 0.0):
             bits[5] = bad
             with pytest.raises(ValueError, match=rf"{name}\[5\] = {bad}"):
                 lfsr_recover_key(spec, message, cipher)
         bits[5] = 0
+    # a bool is an int, so a message of bools is accepted
+    key = [1, 1, 0, 1, 0, 0, 1, 0]
+    message = [bool(i % 3) for i in range(spec.lm)]
+    cipher = lfsr_encrypt(spec, key, message)
+    assert list(lfsr_recover_key(spec, message, cipher)) == key
 
 
 def reference_recover_key(spec, message, cipher, *, instrument):
@@ -368,11 +373,13 @@ def test_check_plan_is_shared_per_register_and_length():
                                    cipher)[0]
             assert _search_outcome(_uninstrumented, spec, message,
                                    cipher)[0] == want, (spec, lm)
+            pivots = cases._check_plan(spec, lm)[2]
+            _assert_solve_is_linear(rng, pivots, lm)
     plan = cases._check_plan(LfsrSpec(8), 16)
     assert cases._check_plan(LfsrSpec(8, (8, 7, 6, 2), (8, 7), 16),
                              16) is plan
     assert isinstance(plan, tuple)
-    assert all(isinstance(step, tuple) for step in plan)
+    assert all(isinstance(part, tuple) for part in plan)
 
 
 def test_list_taps_build_the_tuple_spec():
@@ -457,7 +464,7 @@ def test_check_plan_files_each_stream_bit_once():
         outs = tuple(rng.randint(1, lk) for _ in range(rng.randint(1, 3)))
         specs.append(LfsrSpec(lk, taps, outs, rng.randint(1, 2 * lk + 4)))
     for spec in specs:
-        cols, steps = cases._check_plan(spec, spec.lm)
+        cols, steps, pivots, offsets = cases._check_plan(spec, spec.lm)
         assert len(cols) == len(steps) == spec.lk and steps[0] == 0, spec
         # the steps partition the stream
         assert sum(s.bit_count() for s in steps) == spec.lm, spec
@@ -468,3 +475,26 @@ def test_check_plan_files_each_stream_bit_once():
             assert steps[max(read + [1])] >> i & 1, (spec, i)
             assert [c >> i & 1 for c in cols] == \
                 [s.mask >> k & 1 for k in range(spec.lk)], (spec, i)
+        # every search step with stream bits has one pivot: a bit of its
+        # step, the lowest
+        assert [bit.bit_length() - 1 for bit, _, _ in pivots] == \
+            [j for j in range(2, spec.lk) if steps[j]], spec
+        for bit, pivot, col in pivots:
+            j = bit.bit_length() - 1
+            assert pivot & steps[j] == pivot == steps[j] & -steps[j], spec
+            assert col == cols[j], spec
+        _assert_solve_is_linear(rng, pivots, spec.lm)
+        # each branch's offset is the pass on its columns of key bits 0, 1
+        for b in range(4):
+            key, residual = cases._solve(
+                pivots, cols[0] * (b & 1) ^ cols[1] * (b >> 1))
+            assert offsets[b] == (b | key, residual), (spec, b)
+
+
+def _assert_solve_is_linear(rng, pivots, length):
+    # the pass is linear over GF(2), in its key and its residual alike
+    for _ in range(8):
+        a, b = rng.getrandbits(length), rng.getrandbits(length)
+        ka, ra = cases._solve(pivots, a)
+        kb, rb = cases._solve(pivots, b)
+        assert cases._solve(pivots, a ^ b) == (ka ^ kb, ra ^ rb), pivots
