@@ -8,7 +8,7 @@ with the center flipped, and NAND, OR and NOR are each one AND, on the
 operands or their complements.
 
 Each construction is a core on packed pairs (cbits, columns): GATES wraps
-it for LogicalZonotopes and packed_ops(dim) hands it to model.fold.
+it for LogicalZonotopes and packed_ops(dim) hands it to model.compile_expr.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def _core(base, flip_in, flip_out, ones, a, b):
 
 @cache
 def packed_ops(dim):
-    """model.fold's const, not_ and gates on packed pairs of width dim,
-    built once per width and shared, so the gates come read-only."""
+    """model.compile_expr's const, not_ and gates on packed pairs of width
+    dim, built once per width and shared, so the gates come read-only."""
     ones = (1 << dim) - 1
     return (lambda value: (value.bits, ()), lambda a: (a[0] ^ ones, a[1]),
             MappingProxyType({gate: partial(_core, *DE_MORGAN[gate], ones)
@@ -165,7 +165,7 @@ def packed_points(points):
     """lz_reduce(lz_enclose_points(points))'s set as a packed pair, in an
     echelon basis of the points' differences from the first; unchecked."""
     c = points[0].bits
-    return c, _echelon([p.bits ^ c for p in points])
+    return c, _echelon([p.bits ^ c for p in points[1:]])
 
 
 def lz_evaluate(a: LogicalZonotope, cap=DEFAULT_CAP) -> ExplicitSet:
@@ -218,6 +218,8 @@ def _canonical(cbits, columns):
 def _echelon(columns):
     """An echelon basis of the span of the packed int columns, in no set
     order: elimination alone, skipping repeats, which reduce to zero."""
+    if len(columns) < 2:
+        return [x for x in columns if x]
     lead = {}  # bit_length() -> the basis element with that leading bit
     for x in set(columns):
         while x:

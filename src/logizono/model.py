@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
+from operator import itemgetter
 
 from .binvec import BinaryMatrix, BinaryVector, Gate, Value, bv_not, bv_op
 from .errors import ModelError
@@ -220,10 +221,27 @@ class InputVar(Value):
 
 
 class Model(Value):
-    __slots__ = _fields = ("state_vars", "input_vars", "updates", "order")
+    _fields = ("state_vars", "input_vars", "updates", "order")
+    __slots__ = _fields + ("_programs",)  # not in eq, hash, repr or pickle
 
     def __init__(self, state_vars, input_vars, updates, order):
         self._init(state_vars, input_vars, updates, order)
+        object.__setattr__(self, "_programs", {})
+
+    def compile_updates(self, ops):
+        """Each update in self.order as (its primed key, its compile_expr
+        program against ops(dim) for the width dim of its variable)."""
+        return tuple((name + "'", compile_expr(self.updates[name],
+                                                *ops(self.state(name).dim)))
+                     for name in self.order)
+
+    def compiled(self, ops, cap):
+        """compile_updates against ops(dim, cap), compiled at the first call
+        with this ops callable and cap and kept on the model."""
+        if (ops, cap) not in self._programs:
+            self._programs[ops, cap] = self.compile_updates(
+                lambda dim: ops(dim, cap))
+        return self._programs[ops, cap]
 
     def input_set(self, var, step):
         if var.constant:
@@ -418,18 +436,23 @@ def load_model(path) -> Model:
 
 # --- evaluation -------------------------------------------------------------
 
-def fold(expr, env, const, not_, gates):
-    """Evaluate expr in one value domain. env maps reference keys to values;
-    const(vector) is a literal's value, not_(x) the complement of x, and
-    gates[kind](x, y) a two-input gate."""
-    if isinstance(expr, VarRef):
-        return env[expr.key]
-    if isinstance(expr, Const):
-        return const(expr.value)
-    if isinstance(expr, Not):
-        return not_(fold(expr.child, env, const, not_, gates))
-    return gates[expr.kind](fold(expr.left, env, const, not_, gates),
-                            fold(expr.right, env, const, not_, gates))
+def compile_expr(expr, const, not_, gates):
+    """expr in one value domain as a function of env, which maps reference
+    keys to values, from one walk of the tree: const(vector) gives each
+    literal's value, gates[kind](x, y) each gate, not_(x) x's complement."""
+    def build(node):
+        if isinstance(node, VarRef):
+            return itemgetter(node.key)
+        if isinstance(node, Const):
+            value = const(node.value)
+            return lambda env: value
+        if isinstance(node, Not):
+            child = build(node.child)
+            return lambda env: not_(child(env))
+        gate = gates[node.kind]
+        left, right = build(node.left), build(node.right)
+        return lambda env: gate(left(env), right(env))
+    return build(expr)
 
 
 _BV_GATES = {kind: partial(bv_op, gate=kind) for kind in Gate}
@@ -437,7 +460,7 @@ _BV_GATES = {kind: partial(bv_op, gate=kind) for kind in Gate}
 
 def eval_concrete(expr, env):
     """Evaluate over concrete BinaryVectors; env maps reference keys."""
-    return fold(expr, env, lambda value: value, bv_not, _BV_GATES)
+    return compile_expr(expr, lambda value: value, bv_not, _BV_GATES)(env)
 
 
 _LZ_GATES = lz.GATES
@@ -487,10 +510,10 @@ def eval_expr(expr, env, algebra, mode="minkowski"):
     if algebra == "explicit":
         return _eval_explicit(expr, env)
     if algebra == "logical":
-        return fold(expr, env, lz.LogicalZonotope.singleton, lz.lz_not,
-                    _LZ_GATES)
-    return fold(expr, env, pz.PolyLogicalZonotope.singleton, pz.pz_not,
-                _PZ_COMPACTING[mode])
+        return compile_expr(expr, lz.LogicalZonotope.singleton, lz.lz_not,
+                            _LZ_GATES)(env)
+    return compile_expr(expr, pz.PolyLogicalZonotope.singleton, pz.pz_not,
+                        _PZ_COMPACTING[mode])(env)
 
 
 def _eval_explicit(expr, env):
@@ -498,6 +521,6 @@ def _eval_explicit(expr, env):
 
     keys = sorted({r.key for r in expr_refs(expr)})
     sets = [list(env[k]) for k in keys]  # ExplicitSets or point lists
+    program = compile_expr(expr, lambda value: value, bv_not, _BV_GATES)
     return ex.ExplicitSet.from_points(
-        eval_concrete(expr, dict(zip(keys, combo)))
-        for combo in itertools.product(*sets))
+        program(dict(zip(keys, combo))) for combo in itertools.product(*sets))

@@ -22,16 +22,16 @@ gates represent. What each lane carries from one step to the next:
 - logical: one logical zonotope per variable as the packed pair (cbits,
   columns). A step's input sets enter through logical.packed_points, the
   initial sets through lz_reduce(lz_enclose_points(...)): one set, two
-  bases. Updates fold over logical.packed_ops in generator space, and
-  each result's columns become an echelon basis (logical._echelon): the
-  same set, at most dim columns. The joint size is the product of the
+  bases. Updates run compiled on logical.packed_ops in generator space,
+  and each result's columns become an echelon basis (logical._echelon):
+  the same set, at most dim columns. The joint size is the product of the
   2^len(basis) set sizes; a record's split enumerates each basis as it is.
 - poly, minkowski: one set of values per variable, an int bitmap (bit x
   set when x is in the set) up to 12 bits and a frozenset of ints above.
-  A step folds each update over those sets: a gate is its pointwise
-  image with the operands ranging independently, which is what the
-  pz_mink_* gates compute, and _set_ops builds the gates once per width
-  and cap. The variables vary independently, so the joint size is the
+  A step runs each compiled update over those sets: a gate is its
+  pointwise image with the operands ranging independently, which is what
+  the pz_mink_* gates compute, and _set_ops builds the gates once per
+  width and cap. The variables vary independently, so the joint size is the
   product of the set sizes. Each set is the one that a variable's
   polynomial logical zonotope represents under the Minkowski gates; the
   lane holds no zonotope.
@@ -72,8 +72,8 @@ from .errors import DEFAULT_CAP, CapacityError, ModelError, check_cap
 from . import explicit as ex
 from . import logical as lz
 from . import poly as pz
-# no lane calls eval_expr; benchmarks/spans.py wraps it under this name
-from .model import check_algebra, eval_expr, fold  # noqa: F401
+# lanes run compiled updates, not eval_expr; benchmarks/spans.py wraps it
+from .model import check_algebra, eval_expr  # noqa: F401
 
 
 class StepRecord(Value):
@@ -311,12 +311,12 @@ _IMAGES = {
 
 @cache
 def _set_ops(dim, cap):
-    """fold's const, not_ and gates over the sets of width dim, bitmaps up
-    to _BITMAP_WIDTH bits and frozensets above, built once per width and
-    cap and shared by every caller, so the gates come in a read-only
-    mapping. A gate is its pointwise image, whose bound, min(a·b, 2^dim)
-    values, is checked against cap before it is built; NOT complements
-    each value, and is checked on its count.
+    """compile_expr's const, not_ and gates over the sets of width dim,
+    bitmaps up to _BITMAP_WIDTH bits and frozensets above, built once per
+    width and cap and shared by every caller, so the gates come in a
+    read-only mapping. A gate is its pointwise image, whose bound,
+    min(a·b, 2^dim) values, is checked against cap before it is built;
+    NOT complements each value, and is checked on its count.
 
     An XOR or XNOR image of sets whose sizes add up to more than 2^dim
     holds every value: for each z, z ^ a and b (or b's complement) are too
@@ -471,15 +471,14 @@ def _per_variable(encode, ops, finish, size, split, key, init=None):
     """The _LANES entry of a lane that keeps one value per state variable.
     encode(var, points) is the value of an input's set for a step, and of
     a variable's initial set unless init(var, points) is given; ops(dim,
-    cap) gives fold's const, not_ and gates for an update of width dim;
-    finish makes an update's result a state value."""
+    cap) gives the const, not_ and gates each update is compiled against
+    (Model.compiled); finish makes an update's result a state value."""
     def step(model, state, k, cap):
         env = dict(state)
         for var in model.input_vars:
             env[var.name] = encode(var, model.input_set(var, k))
-        by_name = {v.name: ops(v.dim, cap) for v in model.state_vars}
-        for name in model.order:
-            env[name + "'"] = fold(model.updates[name], env, *by_name[name])
+        for key, program in model.compiled(ops, cap):
+            env[key] = program(env)
         return {v.name: finish(env[v.name + "'"]) for v in model.state_vars}
 
     return SimpleNamespace(
@@ -515,24 +514,25 @@ def _lane_bytes(model):
 def _exact_step(model, joint, k, cap):
     """The exact-lane state one step after joint.
 
-    The updates are folded once per combination of input values, each
-    input value replicated into every lane. Each combination's unpacked
-    lanes wait in a list, and the step's frozenset is built from them in
-    one union, which the ExplicitSet keeps without a copy. Pending lanes
-    are merged into the set before their count plus its size would pass
-    cap, and the cap is checked after each merge: the step raises iff the
-    set it builds holds more than cap vectors, and holds at most cap plus
-    one combination's lanes at a time.
+    The updates are compiled against gates on this step's lanes and run
+    once per combination of input values, each input value replicated
+    into every lane. Each combination's unpacked lanes wait in a list,
+    and the step's frozenset is built from them in one union, which the
+    ExplicitSet keeps without a copy. Pending lanes are merged into the
+    set before their count plus its size would pass cap, and the cap is
+    checked after each merge: the step raises iff the set it builds holds
+    more than cap vectors, and holds at most cap plus one combination's
+    lanes at a time.
     """
     env, ones, count, nbytes = _pack(model, joint)
-    widths = {}  # dim -> fold's const, not_ and gates over its lanes
+    widths = {}  # dim -> compile_expr's const, not_ and gates on its lanes
     for dim in {v.dim for v in model.state_vars}:
         mask = ((1 << dim) - 1) * ones
         widths[dim] = (lambda value: value.bits * ones,
                        partial(operator.xor, mask),
                        {kind: partial(fn, m=mask)
                         for kind, fn in INT_GATES.items()})
-    ops = {v.name: widths[v.dim] for v in model.state_vars}
+    programs = model.compile_updates(widths.__getitem__)
     # the results in reverse, each shifted in below the ones before it
     placed = [(v.name + "'", v.dim) for v in reversed(model.state_vars)]
     names = [v.name for v in model.input_vars]
@@ -542,8 +542,8 @@ def _exact_step(model, joint, k, cap):
     out, pending = frozenset(), []
     for combo in itertools.product(*choices):
         env.update(zip(names, combo))
-        for name in model.order:
-            env[name + "'"] = fold(model.updates[name], env, *ops[name])
+        for key, program in programs:
+            env[key] = program(env)
         nxt = 0
         for key, dim in placed:
             nxt = nxt << dim | env[key]

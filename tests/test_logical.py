@@ -258,6 +258,22 @@ def test_packed_points_hold_the_reduced_enclosure():
             lz_enclose_points(pts)), pts
 
 
+def test_echelon_and_packed_points_at_the_edges():
+    # at most one column is its own basis, a 0 none; packed_points leaves
+    # out the first point's difference, which is always 0
+    assert _echelon([]) == _echelon([0]) == _echelon((0,)) == []
+    assert _echelon([6]) == _echelon((6,)) == [6]
+    p, q, r = (BinaryVector(4, x) for x in (0b0101, 0b0110, 0b1100))
+    for pts in ([p], [p, p], [p, q], [q, p, q], [p, q, p], [p, q, q],
+                [p, q, r, BinaryVector(4, p.bits ^ q.bits ^ r.bits)]):
+        c, basis = packed_points(pts)
+        assert c == pts[0].bits and 0 not in basis, pts
+        assert len(basis) == rank(basis), pts
+        z = lz_reduce(lz_enclose_points(pts))
+        assert _canonical(c, basis) == (z.cbits, list(z.gbits)), pts
+        assert lz_points(4, c, basis) == lz_evaluate(z), pts
+
+
 def test_contains_and_reduce_agree_with_enumeration():
     rng = random.Random(1)
     for _ in range(200):

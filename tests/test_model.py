@@ -1,14 +1,19 @@
 import itertools
+import operator
+import random
+import re
+from functools import partial
 
 import pytest
 
-from logizono.binvec import BinaryVector, Gate
+from logizono.binvec import INT_GATES, BinaryVector, Gate
 from logizono.errors import ModelError
 from logizono.explicit import ExplicitSet
 from logizono.logical import LogicalZonotope, lz_evaluate
-from logizono.model import (Const, GateExpr, Not, VarRef, eval_concrete,
-                            eval_expr, expr_refs, next_state_refs,
-                            parse_expr, parse_model, print_expr)
+from logizono.model import (MAX_DEPTH, Const, GateExpr, Not, VarRef,
+                            compile_expr, eval_concrete, eval_expr,
+                            expr_refs, next_state_refs, parse_expr,
+                            parse_model, print_expr)
 from logizono.poly import pz_enclose_points, pz_evaluate
 
 
@@ -261,6 +266,61 @@ def test_update_syntax_errors_name_update_and_position():
 
 
 # --- evaluation -------------------------------------------------------------
+
+def naive_eval(expr, env, m):
+    """expr over packed ints of the width whose all-ones int is m, by
+    recursion on the tree."""
+    if isinstance(expr, VarRef):
+        return env[expr.key]
+    if isinstance(expr, Const):
+        return expr.value.bits
+    if isinstance(expr, Not):
+        return naive_eval(expr.child, env, m) ^ m
+    return INT_GATES[expr.kind](naive_eval(expr.left, env, m),
+                                naive_eval(expr.right, env, m), m)
+
+
+def random_tree(rng, depth, n, keys):
+    """A random update of width n over the reference keys, depth levels
+    deep along one path, with small random subtrees off that path."""
+    if depth == 0:
+        if rng.random() < 0.25:
+            return Const(BinaryVector(n, rng.getrandbits(n)))
+        name = rng.choice(keys)
+        return VarRef(name.rstrip("'"), primed=name.endswith("'"))
+    if rng.random() < 0.3:
+        return Not(random_tree(rng, depth - 1, n, keys))
+    deep = random_tree(rng, depth - 1, n, keys)
+    side = random_tree(rng, rng.randint(0, min(depth - 1, 3)), n, keys)
+    left, right = (deep, side) if rng.random() < 0.5 else (side, deep)
+    return GateExpr(rng.choice(list(Gate)), left, right)
+
+
+def test_compile_expr_matches_a_naive_evaluator():
+    # compiled once, a program is evaluated on many envs, over packed ints
+    # through INT_GATES: every gate, NOT, literals and primed references,
+    # nested up to MAX_DEPTH levels
+    rng = random.Random(11)
+    keys = ["a", "b", "u", "a'"]
+    depths = [0, 1, 2, MAX_DEPTH] + [rng.randint(0, MAX_DEPTH)
+                                     for _ in range(150)]
+    texts = []
+    for depth in depths:
+        n = rng.randint(1, 70)
+        m = (1 << n) - 1
+        expr = random_tree(rng, depth, n, keys)
+        program = compile_expr(expr, operator.attrgetter("bits"),
+                               partial(operator.xor, m),
+                               {kind: partial(fn, m=m)
+                                for kind, fn in INT_GATES.items()})
+        for _ in range(4):
+            env = {key: rng.getrandbits(n) for key in keys}
+            assert program(env) == naive_eval(expr, env, m), print_expr(expr)
+        texts.append(print_expr(expr))
+    for token in (r"NAND\(", r"(?<!X)NOR\(", r"XNOR\(", " & ", r" \| ",
+                  r" \^ ", "!", "'", r"\b[01]+\b"):
+        assert any(re.search(token, text) for text in texts), token
+
 
 def test_eval_concrete():
     env = {"a": bv("10"), "b": bv("11"), "c'": bv("01")}

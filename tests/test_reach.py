@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import FUNCS, GATES, random_lane_model
 
 # the package's reach attribute is the function; this is its module
 reach_module = importlib.import_module("logizono.reach")
+model_module = importlib.import_module("logizono.model")
 
 
 def bv(text):
@@ -304,12 +306,56 @@ def test_minkowski_gate_checks_cap_before_building():
         assert f"gate image at step 1 needs {bound} elements" in str(
             err.value)
     # the gates are built once per width and cap, so the second run reuses
-    # the first one's width-10 gates; each run names its own step
+    # the first one's width-10 gates; each run names its own step. The
+    # model first runs under a wide cap: the updates it keeps compiled
+    # against that cap's gates must not serve the narrow one
+    model = boolean10_model(0)
+    reach(model, 8, "poly", "minkowski", cap=2**40)
     for _ in range(2):
         with pytest.raises(CapacityError) as err:
-            reach(boolean10_model(0), 8, "poly", "minkowski", cap=128)
+            reach(model, 8, "poly", "minkowski", cap=128)
         assert err.value.step == 3
         assert "gate image at step 3 needs 1024 elements" in str(err.value)
+
+
+def counted_compiles(monkeypatch):
+    """A list that gets each update tree compile_expr compiles from now on."""
+    compiled = []
+    compile_expr = model_module.compile_expr
+
+    def counted(expr, *ops):
+        compiled.append(expr)
+        return compile_expr(expr, *ops)
+    monkeypatch.setattr(model_module, "compile_expr", counted)
+    return compiled
+
+
+@pytest.mark.parametrize("algebra", ["logical", "poly"])
+def test_updates_compile_once_per_model_lane_and_cap(monkeypatch, algebra):
+    # the logical and Minkowski lanes compile each update at a model's
+    # first run with a lane and cap, and walk no tree per step
+    compiled = counted_compiles(monkeypatch)
+    model = boolean10_model(0)
+    first = reach(model, 8, algebra, cap=2**40)
+    assert compiled == [model.updates[name] for name in model.order]
+    again = reach(model, 8, algebra, cap=2**40)
+    assert len(compiled) == 3 and again.sizes() == first.sizes()
+    reach(model, 2, algebra, cap=2**30)
+    assert len(compiled) == 6
+
+
+@pytest.mark.parametrize("build, horizon, steps", [
+    (partial(boolean10_model, 0), 5, 5), (intersection_model, 6, 3)],
+    ids=["boolean10", "intersection"])
+def test_exact_lane_compiles_once_per_iterated_step(monkeypatch, build,
+                                                    horizon, steps):
+    # its masks change every step, so each step compiles every update
+    # once; intersection stops at its fixpoint, step 3
+    compiled = counted_compiles(monkeypatch)
+    model = build()
+    got = reach(model, horizon, "poly", "exact")
+    assert got.fixpoint_at == (steps if steps < horizon else -1)
+    assert len(compiled) == steps * len(model.updates)
 
 
 def test_minkowski_cap_bounds_frozenset_images_not_pairs():

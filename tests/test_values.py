@@ -8,13 +8,13 @@ import pytest
 
 import logizono
 from logizono.binvec import BinaryMatrix, BinaryVector, Gate
-from logizono.cases import LfsrSpec
+from logizono.cases import LfsrSpec, boolean10_document
 from logizono.explicit import ExplicitSet
 from logizono.logical import LogicalZonotope, PackedZonotope
 from logizono.model import (Const, GateExpr, InputVar, Model, Not, StateVar,
-                            VarRef)
+                            VarRef, parse_model)
 from logizono.poly import PolyLogicalZonotope, pz_encode_points
-from logizono.reach import ReachResult, StepRecord
+from logizono.reach import ReachResult, StepRecord, reach
 
 
 def bv(text):
@@ -92,6 +92,24 @@ def test_value_semantics(cls):
         assert type(clone) is cls and clone == x
         assert clone.__reduce__()[1] == args
     assert repr(x) == repr(y)
+
+
+def test_a_model_that_ran_is_still_its_document():
+    # a run keeps the model's compiled updates on it, outside its fields:
+    # it still equals, pickles and copies as a fresh parse of its document
+    doc = boolean10_document(0)
+    ran = parse_model(doc)
+    for algebra, mode in (("logical", "minkowski"), ("poly", "minkowski"),
+                          ("poly", "exact")):
+        reach(ran, 3, algebra, mode, cap=2**40)
+    fresh = parse_model(doc)
+    assert len(ran._programs) == 2 and not fresh._programs
+    assert ran == fresh and repr(ran) == repr(fresh)
+    assert pickle.dumps(ran) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(ran)), copy.copy(ran),
+                  copy.deepcopy(ran)):
+        assert type(clone) is Model and clone == fresh
+        assert clone.__reduce__()[1] == fresh.__reduce__()[1]
 
 
 def test_pos_is_kept_but_not_compared():
