@@ -132,11 +132,13 @@ def _successors(model, reached, input_sets, fixed, cap):
     """The joint vectors the updates give from reached, each (state, input)
     sample walked once per mapping in fixed: a primed reference reads its
     fixed value when the mapping has one, else the value computed earlier
-    in the sample. An update is evaluated once per distinct tuple of the
-    values it reads, so at most once per sample if it reads no primed one."""
-    from .model import eval_concrete, expr_refs
+    in the sample. An update is compiled once, and run once per distinct
+    tuple of the values it reads, so at most once per sample if it reads
+    no primed one."""
+    from .model import compile_concrete, expr_refs
 
     inputs = [v.name for v in model.input_vars]
+    programs = {n: compile_concrete(e) for n, e in model.updates.items()}
     reads = {name: sorted({r.key for r in expr_refs(expr)})
              for name, expr in model.updates.items()}
     memo = {}  # (name, the bits of the values it reads) -> its value
@@ -151,7 +153,7 @@ def _successors(model, reached, input_sets, fixed, cap):
                 for name in model.order:
                     key = (name, *[env[r].bits for r in reads[name]])
                     if key not in memo:
-                        memo[key] = eval_concrete(model.updates[name], env)
+                        memo[key] = programs[name](env)
                     vals[name] = memo[key]
                     env.setdefault(name + "'", vals[name])
                 # the joint vector follows declaration order, not the

@@ -8,6 +8,7 @@ already-computed next-state value within the same step.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from functools import partial
@@ -456,11 +457,14 @@ def compile_expr(expr, const, not_, gates):
 
 
 _BV_GATES = {kind: partial(bv_op, gate=kind) for kind in Gate}
+# compile_expr over concrete BinaryVectors, through bv_op and bv_not
+compile_concrete = partial(compile_expr, const=lambda value: value,
+                           not_=bv_not, gates=_BV_GATES)
 
 
 def eval_concrete(expr, env):
     """Evaluate over concrete BinaryVectors; env maps reference keys."""
-    return compile_expr(expr, lambda value: value, bv_not, _BV_GATES)(env)
+    return compile_concrete(expr)(env)
 
 
 _LZ_GATES = lz.GATES
@@ -517,10 +521,8 @@ def eval_expr(expr, env, algebra, mode="minkowski"):
 
 
 def _eval_explicit(expr, env):
-    import itertools
-
     keys = sorted({r.key for r in expr_refs(expr)})
     sets = [list(env[k]) for k in keys]  # ExplicitSets or point lists
-    program = compile_expr(expr, lambda value: value, bv_not, _BV_GATES)
+    program = compile_concrete(expr)
     return ex.ExplicitSet.from_points(
         program(dict(zip(keys, combo))) for combo in itertools.product(*sets))

@@ -84,7 +84,12 @@ class StepRecord(Value):
                            "joint_set")
 
     def __init__(self, step, var_sets, joint_size, wall_time, joint_set=None):
-        self._init(step, var_sets, joint_size, wall_time, joint_set)
+        # reach builds one per step: set the slots without _init's loop
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "var_sets", var_sets)
+        object.__setattr__(self, "joint_size", joint_size)
+        object.__setattr__(self, "wall_time", wall_time)
+        object.__setattr__(self, "joint_set", joint_set)
 
 
 class ReachResult(Value):
@@ -316,7 +321,8 @@ def _set_ops(dim, cap):
     width and cap and shared by every caller, so the gates come in a
     read-only mapping. A gate is its pointwise image, whose bound,
     min(a·b, 2^dim) values, is checked against cap before it is built;
-    NOT complements each value, and is checked on its count.
+    NOT complements each value, and is checked on its count. Both are
+    checked only if cap < 2^dim: no set of width dim holds more values.
 
     An XOR or XNOR image of sets whose sizes add up to more than 2^dim
     holds every value: for each z, z ^ a and b (or b's complement) are too
@@ -327,6 +333,7 @@ def _set_ops(dim, cap):
     m = (1 << dim) - 1
     const, count, complement, full, moves = (
         _bitmaps if dim <= _BITMAP_WIDTH else _frozensets)(dim)
+    checked = cap <= m
 
     def not_(a):
         check_cap("gate image", count(a), cap)
@@ -337,7 +344,8 @@ def _set_ops(dim, cap):
 
         def image(a, b):
             na, nb = count(a), count(b)
-            check_cap("gate image", min(na * nb, m + 1), cap)
+            if checked:
+                check_cap("gate image", min(na * nb, m + 1), cap)
             if method == "__xor__" and na + nb > m + 1:
                 return full()
             small, large = (a, b) if na <= nb else (b, a)
@@ -345,7 +353,7 @@ def _set_ops(dim, cap):
                 large = complement(large)
             return move(small, large, flip)
         return image
-    return const, not_, MappingProxyType(
+    return const, not_ if checked else complement, MappingProxyType(
         {kind: gate(*spec) for kind, spec in _IMAGES.items()})
 
 
@@ -405,8 +413,9 @@ def _bitmaps(dim):
     m), and the reverse when the operands are complemented; one _moving
     lookup gives those bits. XOR moves commute and undo themselves, so
     the image for y is the one for the value before it moved along the
-    bits where the two differ."""
-    m, moving = (1 << dim) - 1, _moving(dim)
+    bits where the two differ. With a full larger operand, an OR or AND
+    image is the up- or down-closure of the y ^ flip, one move per bit."""
+    m, moving, masks = (1 << dim) - 1, _moving(dim), _masks(dim)
     full = (1 << (m + 1)) - 1
     # the bytes that hold the 2^dim bits; below 3 bits that is one byte,
     # and its reversal puts the bitmap above shift padding bits
@@ -435,6 +444,11 @@ def _bitmaps(dim):
         return out
 
     def and_image(small, large, flip):
+        if large == full:  # the down-closure of the values y ^ flip
+            b = complement(small) if flip else small
+            for s, lo, hi in masks:
+                b |= (b & hi) >> s
+            return b
         out, flip = 0, flip ^ m
         while small:
             low = small & -small
@@ -448,6 +462,11 @@ def _bitmaps(dim):
         return out
 
     def or_image(small, large, flip):
+        if large == full:  # the up-closure of the values y ^ flip
+            b = complement(small) if flip else small
+            for s, lo, hi in masks:
+                b |= (b & lo) << s
+            return b
         out = 0
         while small:
             low = small & -small

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -13,6 +14,9 @@ from logizono.model import eval_concrete, next_state_refs, parse_model
 from logizono.reach import reach
 
 from conftest import random_lane_model
+
+
+model_module = importlib.import_module("logizono.model")
 
 
 def eset(*texts):
@@ -250,3 +254,27 @@ def test_oracle_matches_two_pass_reference(broken):
         want = reference_reach(model, horizon, broken)
         got = oracle_sets(model, horizon, break_next_state_deps=broken)
         assert [s.points for s in got] == want
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_oracle_compiles_each_update_once_per_walk(monkeypatch, broken):
+    # each walk over a step's samples compiles every update once and calls
+    # no eval_concrete, which the benchmark's tracer counts; the oracle
+    # with broken next-state dependencies walks twice per step
+    compiled = []
+    compile_concrete = model_module.compile_concrete
+
+    def counted(expr):
+        compiled.append(expr)
+        return compile_concrete(expr)
+
+    def uncalled(expr, env):
+        pytest.fail("the oracle called eval_concrete")
+
+    monkeypatch.setattr(model_module, "compile_concrete", counted)
+    monkeypatch.setattr(model_module, "eval_concrete", uncalled)
+    model = intersection_model()
+    got = reach(model, 2, "explicit", break_next_state_deps=broken)
+    assert got.sizes() == ([16, 32, 64] if broken else [16, 24, 36])
+    walks = 2 * (2 if broken else 1)
+    assert compiled == [*model.updates.values()] * walks

@@ -308,9 +308,11 @@ def test_minkowski_gate_checks_cap_before_building():
     # the gates are built once per width and cap, so the second run reuses
     # the first one's width-10 gates; each run names its own step. The
     # model first runs under a wide cap: the updates it keeps compiled
-    # against that cap's gates must not serve the narrow one
+    # against that cap's gates must not serve the narrow one. Its sets are
+    # 10 bits wide, so at cap 2^10 its gates check nothing, as at 2**40
     model = boolean10_model(0)
-    reach(model, 8, "poly", "minkowski", cap=2**40)
+    sizes = reach(model, 8, "poly", "minkowski", cap=2**40).sizes()
+    assert reach(model, 8, "poly", "minkowski", cap=1024).sizes() == sizes
     for _ in range(2):
         with pytest.raises(CapacityError) as err:
             reach(model, 8, "poly", "minkowski", cap=128)
@@ -773,6 +775,53 @@ def test_set_gates_match_oracle_images(width):
         assert set(_values(gates[Gate.XOR](x, y))) == xor
         assert set(_values(gates[Gate.XNOR](x, y))) == xnor
     assert set(_values(not_(_value_set(width, low)))) == high
+
+
+@pytest.mark.parametrize("width", range(1, reach_module._BITMAP_WIDTH + 2))
+def test_set_ops_match_the_oracle_with_and_without_cap_checks(width):
+    # random operands, one or both of them the full set in some draws, on
+    # gates that check no cap (2**40, and 2^width, which no set of this
+    # width can pass) and on gates checked at a cap of a·b < 2^width
+    rng = random.Random(100 + width)
+    space = 1 << width
+    some = min(space, 24)
+    draws = [(1, rng.randint(1, min(space - 1, 24))),
+             (rng.randint(1, some), rng.randint(1, some)),
+             (space, rng.randint(1, 2)), (rng.randint(1, 2), space),
+             # both full only where the oracle's pairs stay few
+             (space, space) if width <= 6 else (rng.randint(1, some), 1)]
+    for sizes in draws:
+        a, b = (rng.sample(range(space), n) for n in sizes)
+        ea, eb = (ex.ExplicitSet.from_bits(width, x) for x in (a, b))
+        want_not = ex.set_not(ea).bits
+        wants = {gate: ex.set_minkowski(ea, eb, gate).bits for gate in Gate}
+        pairs = len(a) * len(b)
+        for cap in [2**40, space] + ([pairs] if pairs < space else []):
+            _, not_, gates = _set_ops(width, cap)
+            assert set(_values(not_(_value_set(width, a)))) == want_not
+            for gate in Gate:
+                got = gates[gate](_value_set(width, a), _value_set(width, b))
+                assert set(_values(got)) == wants[gate], (gate, cap, a, b)
+
+
+def test_minkowski_cap_boundary_is_two_to_the_width():
+    # {0, m} and the full set give a full image under every gate, whose
+    # bound is 2^dim: one below that cap it raises, at it it is returned;
+    # on a bitmap and on a frozenset
+    for dim in (10, 13):
+        m, full = (1 << dim) - 1, _value_set(dim, range(1 << dim))
+        ends = _value_set(dim, [0, m])
+        _, not_, gates = _set_ops(dim, m)
+        for gate in Gate:
+            with pytest.raises(CapacityError,
+                               match=f"^gate image needs {m + 1} "):
+                gates[gate](ends, full)
+        with pytest.raises(CapacityError, match="^gate image needs"):
+            not_(full)
+        _, not_, gates = _set_ops(dim, m + 1)
+        assert not_(full) == full
+        for gate in Gate:
+            assert gates[gate](ends, full) == gates[gate](full, ends) == full
 
 
 class CountingValues:
